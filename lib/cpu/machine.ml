@@ -81,6 +81,8 @@ let add_time_ps t ps = t.now_ps <- t.now_ps + ps
 let add_overhead_ps t ps = t.pending_overhead_ps <- t.pending_overhead_ps + ps
 let call_stack t = t.call_stack
 let instructions_retired t = t.retired
+let tlb_hits t = Tlb.hits t.tlb
+let tlb_misses t = Tlb.misses t.tlb
 
 let reset_counters t =
   t.retired <- 0;

@@ -118,4 +118,9 @@ val run :
 (** {1 Counters} *)
 
 val instructions_retired : t -> int
+
+(** Data-TLB hit and miss counts (cleared by {!reset_counters}). *)
+val tlb_hits : t -> int
+
+val tlb_misses : t -> int
 val reset_counters : t -> unit

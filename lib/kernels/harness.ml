@@ -251,7 +251,7 @@ let run_dynamic ~opt_level platform kernel io input_descs output_descs =
 let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
     ?gtt_enabled ?(devices = 1) ?fault_plan ?trace ?(split = All_gpu)
     ?(seed = 42L) ?frames ?(validate = true) ?(opt_level = Exochi_opt.Opt.O0)
-    kernel scale =
+    ?(inspect = ignore) kernel scale =
   (match (fault_plan, split) with
   | Some _, Dynamic ->
     invalid_arg
@@ -336,6 +336,7 @@ let run ?(memmodel = Memmodel.Cc_shared) ?flush_policy ?gpu_config
     else (true, 0)
   in
   ignore gpu;
+  inspect platform;
   (* GPU-side counters aggregate over the device set (one term at one
      device — the historical numbers) *)
   let sum_gpus f =

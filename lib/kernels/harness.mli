@@ -48,7 +48,11 @@ type split = All_gpu | All_cpu | Cooperative of float | Dynamic
     GPU-side counters in {!result} aggregate over the whole device set.
     [devices:1] is bit- and time-identical to omitting the argument.
     Not compatible with [split = Dynamic] (the dynamic feeder drives
-    device 0 directly). *)
+    device 0 directly).
+
+    [inspect] is called with the run's platform once the outputs are
+    validated, so tests can read cache, TLB and page-table state; it
+    must not change that state. *)
 val run :
   ?memmodel:Exochi_memory.Memmodel.config ->
   ?flush_policy:Exochi_core.Chi_runtime.flush_policy ->
@@ -62,6 +66,7 @@ val run :
   ?frames:int ->
   ?validate:bool ->
   ?opt_level:Exochi_opt.Opt.level ->
+  ?inspect:(Exochi_core.Exo_platform.t -> unit) ->
   Kernel.t ->
   Kernel.scale ->
   result

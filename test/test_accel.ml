@@ -214,6 +214,110 @@ let test_sampler_bilinear () =
     ~surfaces:[| tex; out |] ~params:[||];
   check_int "bilinear midpoint" 50 (rd32 rig out ~x:0 ~y:0)
 
+(* The sampler at a surface's edges. The 100x50 texture's second page is
+   never written, so texels there read 0 while it is unmapped (the first
+   sample's lane 0 footprint stays on page 0) and after the second
+   sample's lane 0 footprint makes the ATR map it. Coordinates run off
+   every edge and straddle the page boundary. Values are checked against
+   a bilinear reference; time, counters and the texture pages' entries
+   are pinned to the values of the reference implementation. *)
+let test_sampler_edges () =
+  let rig = make_rig () in
+  let cu = alloc_surface rig "CU" ~width:32 ~height:1 ~bpp:4 in
+  let cv = alloc_surface rig "CV" ~width:32 ~height:1 ~bpp:4 in
+  let out = alloc_surface rig "O" ~width:32 ~height:1 ~bpp:4 in
+  let w = 100 and h = 50 in
+  let pitch = Surface.required_pitch ~width:w ~bpp:1 ~tiling:Surface.Linear in
+  let base =
+    Address_space.alloc rig.aspace ~name:"T" ~bytes:(pitch * h) ~align:4096
+  in
+  let tex =
+    Surface.make ~id:2 ~name:"T" ~base ~width:w ~height:h ~bpp:1
+      ~tiling:Surface.Linear ~mode:Surface.In_out
+  in
+  let page_rows = Phys_mem.page_size / pitch in
+  let texel x y = if y < page_rows then ((x * 7) + (y * 13)) land 0xff else 0 in
+  for y = 0 to page_rows - 1 do
+    for x = 0 to w - 1 do
+      Address_space.write_u8 rig.aspace (Surface.element_addr tex ~x ~y)
+        (texel x y)
+    done
+  done;
+  let q f = int_of_float (f *. 65536.0) in
+  let coords =
+    [
+      (0.0, 0.0); (-1.5, 0.0); (0.0, -2.25); (-3.0, -3.0); (98.5, 0.0);
+      (99.75, 10.5); (150.0, 5.0); (50.5, float_of_int page_rows -. 0.5);
+      (10.25, float_of_int page_rows -. 0.25); (0.5, 0.5); (99.0, 31.0);
+      (99.5, 31.5); (-0.25, 30.5); (1000.0, 1000.0); (-1000.0, 5.0);
+      (3.125, 7.875);
+      (200.5, 80.25); (99.5, 49.5); (0.0, 49.0); (0.5, 48.5); (50.0, 31.5);
+      (-5.0, 60.0); (99.0, 0.0); (98.75, 49.75); (0.0, 0.0); (1.5, 1.5);
+      (99.5, -0.5); (-0.5, 49.5); (64.0, 16.0); (33.3, 32.0); (7.0, 45.5);
+      (0.99, 0.99);
+    ]
+  in
+  List.iteri
+    (fun i (u, v) ->
+      wr32 rig cu ~x:i ~y:0 (q u);
+      wr32 rig cv ~x:i ~y:0 (q v))
+    coords;
+  run_one rig
+    {|
+  mov.1.dw vr9 = 0
+  ld.16.dw vr0 = (CU, vr9, 0)
+  ld.16.dw vr1 = (CV, vr9, 0)
+  sample.16.b vr2 = (T, vr0, vr1)
+  st.16.dw (O, vr9, 0) = vr2
+  ld.16.dw vr3 = (CU, vr9, 16)
+  ld.16.dw vr4 = (CV, vr9, 16)
+  sample.16.b vr5 = (T, vr3, vr4)
+  st.16.dw (O, vr9, 16) = vr5
+  end
+|}
+    ~surfaces:[| cu; cv; tex; out |] ~params:[||];
+  let clampi lo hi x = if x < lo then lo else if x > hi then hi else x in
+  let reference u v =
+    let xi = u asr 16 and yi = v asr 16 in
+    let fx = (u asr 8) land 0xff and fy = (v asr 8) land 0xff in
+    let t x y = texel (clampi 0 (w - 1) x) (clampi 0 (h - 1) y) in
+    let top = (t xi yi lsl 8) + ((t (xi + 1) yi - t xi yi) * fx) in
+    let bot =
+      (t xi (yi + 1) lsl 8) + ((t (xi + 1) (yi + 1) - t xi (yi + 1)) * fx)
+    in
+    ((top lsl 8) + ((bot - top) * fy) + 32768) asr 16
+  in
+  List.iteri
+    (fun i (u, v) ->
+      check_int
+        (Printf.sprintf "sample %d at (%g, %g)" i u v)
+        (reference (q u) (q v))
+        (rd32 rig out ~x:i ~y:0))
+    coords;
+  let pt = Address_space.page_table rig.aspace in
+  let pte vpage =
+    match Page_table.walk pt ~vpage with
+    | Page_table.Mapped e -> Int32.to_int e
+    | _ -> -1
+  in
+  let vpage0 = base lsr Phys_mem.page_shift in
+  Alcotest.(check (list int))
+    "done time, busy, sampler requests, cache and TLB counters, ATR proxies"
+    [ 1386822; 33; 2; 15; 22; 113; 3; 3 ]
+    [
+      Gpu.last_shred_done rig.gpu;
+      Gpu.busy_cycles rig.gpu;
+      Gpu.sampler_requests rig.gpu;
+      Cache.hits (Gpu.cache rig.gpu);
+      Cache.misses (Gpu.cache rig.gpu);
+      Tlb.hits (Gpu.tlb rig.gpu);
+      Tlb.misses (Gpu.tlb rig.gpu);
+      !(rig.atr_count);
+    ];
+  Alcotest.(check (list int))
+    "texture page entries (frame, P/RW/US/A/D)" [ 0x1067; 0x4027 ]
+    [ pte vpage0; pte (vpage0 + 1) ]
+
 (* ---- CEH ---- *)
 
 let test_ceh_fdiv_by_zero () =
@@ -602,6 +706,7 @@ let () =
           Alcotest.test_case "predication" `Quick test_predication_masks_lanes;
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
           Alcotest.test_case "sampler" `Quick test_sampler_bilinear;
+          Alcotest.test_case "sampler edges" `Quick test_sampler_edges;
         ] );
       ( "ceh",
         [

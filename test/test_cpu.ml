@@ -278,6 +278,85 @@ let test_movmskps () =
   run_src cpu data "  movdqu xmm0, [DATA]\n  movmskps eax, xmm0\n  hlt\n";
   check_i32 "sign mask" 0b0101l (eax cpu)
 
+(* ---- accesses straddling a 4 KiB page ---- *)
+
+(* Scalar, movdqu, movpk and movntdq loads and stores across the page
+   boundary at DATA+4096. DATA's pages are untouched before the run, so
+   the first straddling access also faults the second page in. Values
+   are checked byte for byte; the simulated time, the counters and both
+   pages' IA32 entries (accessed/dirty bits) are pinned to the values of
+   the reference implementation. *)
+let test_page_straddle () =
+  let cpu, aspace, data = setup () in
+  run_src cpu data
+    {|
+  movdqu xmm7, [DATA + 4088]
+  mov.d eax, 287454020
+  mov.d [DATA + 4094], eax
+  mov.d ebx, [DATA + 4094]
+  mov.w ecx, [DATA + 4095]
+  movsx.w edx, [DATA + 4095]
+  mov.b esi, [DATA + 4096]
+  movdqu xmm0, [DATA + 4088]
+  movdqu [DATA + 4090], xmm0
+  movdqu xmm1, [DATA + 4090]
+  movpk.b xmm2, [DATA + 4094]
+  movpk.w xmm3, [DATA + 4092]
+  movpk.w [DATA + 4093], xmm3
+  mov.d edi, [DATA + 4097]
+  movntdq [DATA + 4092], xmm1
+  mov.d ebp, [DATA + 4098]
+  hlt
+|};
+  let reg r = Machine.get_reg cpu r in
+  check_i32 "mov.d straddling load" 0x11223344l (reg Via32_ast.EBX);
+  check_i32 "mov.w straddling load" 0x2233l (reg Via32_ast.ECX);
+  check_i32 "movsx.w straddling load" 0x2233l (reg Via32_ast.EDX);
+  check_i32 "mov.b after straddling store" 0x22l (reg Via32_ast.ESI);
+  check_i32 "movpk.w straddling store" 0x11223344l (reg Via32_ast.EDI);
+  check_i32 "movntdq straddling store" 0x11223344l (reg Via32_ast.EBP);
+  let lanes x = List.init 4 (fun lane -> Machine.get_xmm_lane cpu ~xmm:x ~lane) in
+  let check_lanes name x want =
+    Alcotest.(check (list int32)) name want (lanes x)
+  in
+  check_lanes "movdqu load of fresh pages" 7 [ 0l; 0l; 0l; 0l ];
+  check_lanes "movdqu straddling load" 0 [ 0l; 0x33440000l; 0x1122l; 0l ];
+  check_lanes "movdqu straddling store+load" 1 [ 0l; 0x33440000l; 0x1122l; 0l ];
+  check_lanes "movpk.b straddling load" 2 [ 0l; 0l; 0x44l; 0x33l ];
+  check_lanes "movpk.w straddling load" 3 [ 0l; 0l; 0x3344l; 0x1122l ];
+  let bytes =
+    List.init 16 (fun i -> Address_space.read_u8 aspace (data + 4088 + i))
+  in
+  Alcotest.(check (list int))
+    "bytes 4088..4103"
+    [ 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0x44; 0x33; 0x22; 0x11; 0; 0 ]
+    bytes;
+  let pte vaddr =
+    match
+      Page_table.walk (Address_space.page_table aspace)
+        ~vpage:(vaddr lsr Phys_mem.page_shift)
+    with
+    | Page_table.Mapped e -> e
+    | _ -> Alcotest.fail "page not mapped"
+  in
+  let l1 = Machine.l1 cpu in
+  Alcotest.(check (list int))
+    "now_ps, retired, TLB and L1 counters, minor faults"
+    [ 1760032; 17; 13; 2; 22; 3; 2 ]
+    [
+      Machine.now_ps cpu;
+      Machine.instructions_retired cpu;
+      Machine.tlb_hits cpu;
+      Machine.tlb_misses cpu;
+      Cache.hits l1;
+      Cache.misses l1;
+      Address_space.minor_faults aspace;
+    ];
+  Alcotest.(check (list int32))
+    "page-table entries of both pages (frame, P/RW/US/A/D)"
+    [ 0x1067l; 0x3067l ]
+    [ pte data; pte (data + 4096) ]
+
 (* ---- machinery ---- *)
 
 let test_intrinsics_dispatch () =
@@ -373,6 +452,7 @@ let () =
       ( "machinery",
         [
           Alcotest.test_case "intrinsics" `Quick test_intrinsics_dispatch;
+          Alcotest.test_case "page straddle" `Quick test_page_straddle;
           Alcotest.test_case "unbound symbol" `Quick test_unbound_symbol_rejected;
           Alcotest.test_case "fuel" `Quick test_fuel_exhaustion;
           Alcotest.test_case "pause/resume" `Quick test_pause_resume;
