@@ -109,7 +109,8 @@ val tlb : t -> Exochi_memory.Pte.X3k.t Exochi_memory.Tlb.t
 (** {1 Dispatch} *)
 
 (** Bind a program and its surface table (program surface slot -> concrete
-    surface) for subsequent dispatches. *)
+    surface) for subsequent dispatches. The program is decoded here, once,
+    into the form the EUs and {!emulate_shred} execute. *)
 val bind :
   t -> prog:X3k_ast.program -> surfaces:Exochi_memory.Surface.t array -> unit
 
@@ -233,7 +234,8 @@ val hedge_wins : t -> int
 
 (** Proxy-execute one whole shred functionally on the IA32 sequencer
     (graceful degradation when retries are exhausted or every slot is
-    quarantined). Same lane semantics as the EUs; no timing model —
+    quarantined). It runs the EUs' own decoded instructions, so the lane
+    semantics are theirs; no timing model —
     returns [(instructions, lane_ops)] so the caller can charge CPU
     time. Must run while the EUs are paused. *)
 val emulate_shred : t -> shred -> int * int

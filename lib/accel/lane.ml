@@ -14,8 +14,8 @@ let saturate dtype v =
   | W -> if v < -32768 then -32768 else if v > 32767 then 32767 else v
   | DW | F -> v
 
-let float_of_lane v = Int32.float_of_bits (Int32.of_int v)
-let lane_of_float f = wrap32 (Int32.to_int (Int32.bits_of_float f))
+let[@inline] float_of_lane v = Int32.float_of_bits (Int32.of_int v)
+let[@inline] lane_of_float f = wrap32 (Int32.to_int (Int32.bits_of_float f))
 
 let add d a b = wrap d (a + b)
 let sub d a b = wrap d (a - b)
@@ -55,22 +55,17 @@ let compare_lanes d cond a b =
   | Gt -> c > 0
   | Ge -> c >= 0
 
-let fop2 f a b = lane_of_float (f (float_of_lane a) (float_of_lane b))
-let fadd = fop2 ( +. )
-let fsub = fop2 ( -. )
-let fmul = fop2 ( *. )
-let fmin = fop2 Float.min
-let fmax = fop2 Float.max
+(* Each float op is written out so its temporaries stay unboxed. *)
+let fadd a b = lane_of_float (float_of_lane a +. float_of_lane b)
+let fsub a b = lane_of_float (float_of_lane a -. float_of_lane b)
+let fmul a b = lane_of_float (float_of_lane a *. float_of_lane b)
+let fmin a b = lane_of_float (Float.min (float_of_lane a) (float_of_lane b))
+let fmax a b = lane_of_float (Float.max (float_of_lane a) (float_of_lane b))
 let fabs v = lane_of_float (Float.abs (float_of_lane v))
+let fdiv_ieee a b = lane_of_float (float_of_lane a /. float_of_lane b)
 
-let fdiv a b =
-  if float_of_lane b = 0.0 then Error `Fault else Ok (fop2 ( /. ) a b)
-
-let fsqrt a =
-  if float_of_lane a < 0.0 then Error `Fault
-  else Ok (lane_of_float (sqrt (float_of_lane a)))
-
-let fdiv_ieee a b = fop2 ( /. ) a b
+let fdiv_faults b = float_of_lane b = 0.0
+let fsqrt_faults a = float_of_lane a < 0.0
 let fsqrt_ieee a = lane_of_float (sqrt (float_of_lane a))
 let cvtif v = lane_of_float (float_of_int v)
 

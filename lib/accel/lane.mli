@@ -56,12 +56,12 @@ val fmin : int -> int -> int
 val fmax : int -> int -> int
 val fabs : int -> int
 
-(** [fdiv a b] and [fsqrt a] return [Error `Fault] on division by zero /
-    negative input — the cases the exo-sequencer cannot complete and
-    escalates through CEH. *)
-val fdiv : int -> int -> (int, [ `Fault ]) result
+(** [fdiv_faults b] (division by zero) and [fsqrt_faults a] (negative
+    input) are the cases the exo-sequencer cannot complete and escalates
+    through CEH. *)
+val fdiv_faults : int -> bool
 
-val fsqrt : int -> (int, [ `Fault ]) result
+val fsqrt_faults : int -> bool
 
 (** IEEE-correct emulation used by the CEH proxy handler on the CPU:
     division by zero yields signed infinity (NaN for 0/0), square root of

@@ -979,8 +979,16 @@ let taskq t ~prog ~descriptors ~tasks =
 
 (* ---- producer simulation ---- *)
 
+(* Write-touch every line of [addr, addr+len), highest line first. *)
+let touch_lines cache ~addr ~len =
+  let lb = Cache.line_bytes cache in
+  for line = (addr + len - 1) / lb downto addr / lb do
+    ignore (Cache.access cache ~addr:(line * lb) ~write:true)
+  done
+
 let produce t desc =
   let cpu = Exo_platform.cpu t.platform in
+  let aspace = Exo_platform.aspace t.platform in
   let base, len = desc_range desc in
   (* mark as many lines dirty as the cache hierarchy can hold; the tail
      of a large buffer naturally evicts (those writebacks happened during
@@ -989,19 +997,12 @@ let produce t desc =
   let rec go vaddr remaining =
     if remaining > 0 then begin
       let chunk = min remaining page in
-      (match
-         Address_space.fault_in (Exo_platform.aspace t.platform) ~vaddr
-       with
-      | _ -> ());
-      (match
-         Page_table.translate
-           (Address_space.page_table (Exo_platform.aspace t.platform))
-           ~vaddr
-       with
-      | Some pa ->
-        ignore (Cache.access_range (Machine.l1 cpu) ~addr:pa ~len:chunk ~write:true);
-        ignore (Cache.access_range (Machine.l2 cpu) ~addr:pa ~len:chunk ~write:true)
-      | None -> ());
+      ignore (Address_space.fault_in aspace ~vaddr);
+      let pa = Address_space.lookup aspace ~vaddr in
+      if pa >= 0 then begin
+        touch_lines (Machine.l1 cpu) ~addr:pa ~len:chunk;
+        touch_lines (Machine.l2 cpu) ~addr:pa ~len:chunk
+      end;
       go (vaddr + chunk) (remaining - chunk)
     end
   in

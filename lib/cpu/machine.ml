@@ -24,18 +24,33 @@ let default_config =
     line_bytes = 64;
   }
 
-type flags = { mutable a : int32; mutable b : int32 }
+(* A data-TLB entry: the frame, and which of the page's accessed/dirty
+   bits this machine already knows to be set (0 none, 1 accessed, 2
+   accessed and dirty). The bits are sticky, so what is known stays
+   true; a direct access that needs more goes through one page-table
+   walk first. *)
+type tlb_entry = { frame : int; mutable marked : int }
+
+let no_entry = { frame = -1; marked = 0 }
+
+(* Largest single timed access: one 16-byte SSE load or store. *)
+let max_access_bytes = 16
 
 type t = {
   aspace : Address_space.t;
+  mem : Phys_mem.t;
   bus : Bus.t;
   clock : Timebase.clock;
   l1 : Cache.t;
   l2 : Cache.t;
-  tlb : Pte.Ia32.t Tlb.t;
-  regs : int32 array; (* 8 GPRs *)
-  xmm : int32 array; (* 8 x 4 lanes, flattened *)
-  flags : flags;
+  tlb : tlb_entry Tlb.t;
+  mutable cur : tlb_entry; (* entry of the latest translation *)
+  l1_results : int array; (* per-line L1 outcomes of one access *)
+  src4 : int array; (* second source of an SSE operation *)
+  regs : int array; (* 8 GPRs, sign-extended 32-bit values *)
+  xmm : int array; (* 8 x 4 lanes, flattened, sign-extended *)
+  mutable flag_a : int;
+  mutable flag_b : int;
   mutable now_ps : int;
   mutable pending_overhead_ps : int;
   mutable retired : int;
@@ -50,6 +65,7 @@ let create ?(config = default_config) ~aspace ~bus () =
   let clock = Timebase.clock ~mhz:config.clock_mhz in
   {
     aspace;
+    mem = Address_space.phys_mem aspace;
     bus;
     clock;
     l1 =
@@ -59,9 +75,13 @@ let create ?(config = default_config) ~aspace ~bus () =
       Cache.create ~name:"cpu-l2" ~size_bytes:config.l2_bytes
         ~line_bytes:config.line_bytes ~ways:config.l2_ways;
     tlb = Tlb.create ~entries:config.tlb_entries;
-    regs = Array.make 8 0l;
-    xmm = Array.make 32 0l;
-    flags = { a = 0l; b = 0l };
+    cur = no_entry;
+    l1_results = Array.make ((max_access_bytes / config.line_bytes) + 2) 0;
+    src4 = Array.make 4 0;
+    regs = Array.make 8 0;
+    xmm = Array.make 32 0;
+    flag_a = 0;
+    flag_b = 0;
     now_ps = 0;
     pending_overhead_ps = 0;
     retired = 0;
@@ -121,128 +141,172 @@ let page_fault_ps = 1_500_000 (* 1.5 us OS fault service *)
 
 (* ---- registers ---- *)
 
-let get_reg t r = t.regs.(reg_index r)
-let set_reg t r v = t.regs.(reg_index r) <- v
-let get_xmm_lane t ~xmm ~lane = t.xmm.((xmm * 4) + lane)
-let set_xmm_lane t ~xmm ~lane v = t.xmm.((xmm * 4) + lane) <- v
+(* Registers hold 32-bit values as sign-extended OCaml ints, so no
+   instruction boxes an int32. *)
+let s32 v = ((v land 0xFFFF_FFFF) lxor 0x8000_0000) - 0x8000_0000
+let u32 v = v land 0xFFFF_FFFF
+let get_reg t r = Int32.of_int t.regs.(reg_index r)
+let set_reg t r v = t.regs.(reg_index r) <- Int32.to_int v
+let get_xmm_lane t ~xmm ~lane = Int32.of_int t.xmm.((xmm * 4) + lane)
+let set_xmm_lane t ~xmm ~lane v = t.xmm.((xmm * 4) + lane) <- Int32.to_int v
 
 (* ---- memory data path ---- *)
 
-let translate t ~vaddr ~write =
+let page_mask = Phys_mem.page_size - 1
+
+let translate t ~vaddr =
   let vpage = vaddr lsr Phys_mem.page_shift in
-  match Tlb.lookup t.tlb ~vpage with
-  | Some pte -> (Pte.Ia32.frame pte lsl Phys_mem.page_shift) lor (vaddr land (Phys_mem.page_size - 1))
-  | None ->
-    cost t c_tlb_walk;
-    (match Address_space.fault_in t.aspace ~vaddr with
-    | `Already -> ()
-    | `Faulted -> t.now_ps <- t.now_ps + page_fault_ps);
-    (match Page_table.walk (Address_space.page_table t.aspace)
-             ~vpage with
-    | Page_table.Mapped pte ->
-      Tlb.insert t.tlb ~vpage pte;
-      ignore write;
-      (Pte.Ia32.frame pte lsl Phys_mem.page_shift)
-      lor (vaddr land (Phys_mem.page_size - 1))
-    | _ -> raise (Address_space.Segfault vaddr))
+  let e = Tlb.lookup t.tlb ~vpage ~absent:no_entry in
+  let e =
+    if e != no_entry then e
+    else begin
+      cost t c_tlb_walk;
+      (match Address_space.fault_in t.aspace ~vaddr with
+      | `Already -> ()
+      | `Faulted -> t.now_ps <- t.now_ps + page_fault_ps);
+      match Page_table.walk (Address_space.page_table t.aspace) ~vpage with
+      | Page_table.Mapped pte ->
+        let e = { frame = Pte.Ia32.frame pte; marked = 0 } in
+        Tlb.insert t.tlb ~vpage e;
+        e
+      | _ -> raise (Address_space.Segfault vaddr)
+    end
+  in
+  t.cur <- e;
+  (e.frame lsl Phys_mem.page_shift) lor (vaddr land page_mask)
 
-(* Account one cache access covering [paddr, paddr+size). *)
+(* Before touching memory directly through the latest translation, make
+   sure the page's accessed (and for a write dirty) bit is set. *)
+let mark t ~vaddr ~write =
+  let e = t.cur in
+  let need = if write then 2 else 1 in
+  if e.marked < need then begin
+    ignore (Address_space.translate t.aspace ~vaddr ~write);
+    e.marked <- need
+  end
+
+(* A direct access must stay inside the translated page; one that
+   straddles goes through the address space, which splits it. *)
+let fits vaddr bytes = (vaddr land page_mask) + bytes <= Phys_mem.page_size
+
+(* An L1 miss: the victim's write-back lands in L2, then the line is
+   filled from L2 or, on an L2 miss, from DRAM over the bus. *)
+let l1_miss t ~line_addr ~writeback =
+  if writeback >= 0 then ignore (Cache.access t.l2 ~addr:writeback ~write:true);
+  let r2 = Cache.access t.l2 ~addr:line_addr ~write:false in
+  if r2 = Cache.hit then cost t c_l2_hit
+  else begin
+    (* the write-back is posted; it occupies the bus but the CPU does
+       not wait for it *)
+    if r2 >= 0 then ignore (cpu_bus_request t ~bytes:(Cache.line_bytes t.l2));
+    (* multi-stream next-line hardware prefetch: a miss that continues
+       one of the tracked streams pays only the transfer time; a random
+       miss pays full DRAM latency and claims a stream slot round-robin *)
+    let this_line = line_addr / Cache.line_bytes t.l2 in
+    let sequential = ref false in
+    for i = 0 to Array.length t.prefetch_streams - 1 do
+      let last = t.prefetch_streams.(i) in
+      if this_line = last + 1 || this_line = last then begin
+        sequential := true;
+        t.prefetch_streams.(i) <- this_line
+      end
+    done;
+    if not !sequential then begin
+      t.prefetch_streams.(t.prefetch_rr) <- this_line;
+      t.prefetch_rr <- (t.prefetch_rr + 1) mod Array.length t.prefetch_streams
+    end;
+    let done_ps =
+      cpu_bus_request ~latency:(not !sequential) t
+        ~bytes:(Cache.line_bytes t.l2)
+    in
+    advance_to_ps t done_ps
+  end
+
+(* Account one cache access covering [paddr, paddr+size): every L1 line
+   is touched first, highest address first, then the outcomes are
+   charged in address order. *)
 let cache_access t ~paddr ~size ~write =
-  let results = Cache.access_range t.l1 ~addr:paddr ~len:size ~write in
-  List.iter
-    (fun (r : Cache.access_result) ->
-      if r.hit then cost t c_l1_hit
-      else begin
-        (* victim writeback from L1 lands in L2 *)
-        Option.iter
-          (fun wb -> ignore (Cache.access t.l2 ~addr:wb ~write:true))
-          r.writeback;
-        match r.fill with
-        | None -> ()
-        | Some line ->
-          let r2 = Cache.access t.l2 ~addr:line ~write:false in
-          if r2.hit then cost t c_l2_hit
-          else begin
-            Option.iter
-              (fun wb ->
-                (* writeback is posted; it occupies the bus but the CPU
-                   does not wait for it *)
-                ignore (cpu_bus_request t ~bytes:(Cache.line_bytes t.l2));
-                ignore wb)
-              r2.writeback;
-            (* multi-stream next-line hardware prefetch: a miss that
-               continues one of the tracked streams pays only the transfer
-               time; a random miss pays full DRAM latency and claims a
-               stream slot round-robin *)
-            let this_line = Option.get r.fill / Cache.line_bytes t.l2 in
-            let sequential = ref false in
-            Array.iteri
-              (fun i last ->
-                if this_line = last + 1 || this_line = last then begin
-                  sequential := true;
-                  t.prefetch_streams.(i) <- this_line
-                end)
-              t.prefetch_streams;
-            if not !sequential then begin
-              t.prefetch_streams.(t.prefetch_rr) <- this_line;
-              t.prefetch_rr <- (t.prefetch_rr + 1) mod Array.length t.prefetch_streams
-            end;
-            let sequential = !sequential in
-            let done_ps =
-              cpu_bus_request ~latency:(not sequential) t
-                ~bytes:(Cache.line_bytes t.l2)
-            in
-            advance_to_ps t done_ps
-          end
-      end)
-    results
+  let lb = Cache.line_bytes t.l1 in
+  let first = paddr / lb and last = (paddr + size - 1) / lb in
+  for line = last downto first do
+    t.l1_results.(line - first) <- Cache.access t.l1 ~addr:(line * lb) ~write
+  done;
+  for line = first to last do
+    let r = t.l1_results.(line - first) in
+    if r = Cache.hit then cost t c_l1_hit
+    else l1_miss t ~line_addr:(line * lb) ~writeback:r
+  done
 
-(* One cache access covering [count] contiguous elements of [size] bytes
-   (SSE loads/stores are single accesses, not per-lane ones). *)
-let load_multi t ~vaddr ~count ~size =
-  let paddr = translate t ~vaddr ~write:false in
-  cache_access t ~paddr ~size:(count * size) ~write:false;
-  let a = t.aspace in
-  Array.init count (fun i ->
-      let va = vaddr + (i * size) in
-      match size with
-      | 1 -> Int32.of_int (Address_space.read_u8 a va)
-      | 2 -> Int32.of_int (Address_space.read_u16 a va)
-      | _ -> Address_space.read_u32 a va)
+let read_scalar t ~paddr ~size =
+  match size with
+  | 1 -> Phys_mem.read_u8 t.mem paddr
+  | 2 -> Phys_mem.read_u16 t.mem paddr
+  | _ -> Phys_mem.read_i32 t.mem paddr
 
-let store_multi t ~vaddr ~size v =
-  let count = Array.length v in
-  let paddr = translate t ~vaddr ~write:true in
-  cache_access t ~paddr ~size:(count * size) ~write:true;
-  let a = t.aspace in
-  Array.iteri
-    (fun i lane ->
-      let va = vaddr + (i * size) in
-      match size with
-      | 1 -> Address_space.write_u8 a va (Int32.to_int lane land 0xff)
-      | 2 -> Address_space.write_u16 a va (Int32.to_int lane land 0xffff)
-      | _ -> Address_space.write_u32 a va lane)
-    v
+let write_scalar t ~paddr ~size v =
+  match size with
+  | 1 -> Phys_mem.write_u8 t.mem paddr v
+  | 2 -> Phys_mem.write_u16 t.mem paddr v
+  | _ -> Phys_mem.write_i32 t.mem paddr v
+
+let aspace_read t ~vaddr ~size =
+  match size with
+  | 1 -> Address_space.read_u8 t.aspace vaddr
+  | 2 -> Address_space.read_u16 t.aspace vaddr
+  | _ -> Address_space.read_i32 t.aspace vaddr
+
+let aspace_write t ~vaddr ~size v =
+  match size with
+  | 1 -> Address_space.write_u8 t.aspace vaddr v
+  | 2 -> Address_space.write_u16 t.aspace vaddr v
+  | _ -> Address_space.write_i32 t.aspace vaddr v
 
 let load t ~vaddr ~size =
-  let paddr = translate t ~vaddr ~write:false in
+  let paddr = translate t ~vaddr in
   cache_access t ~paddr ~size ~write:false;
-  let a = t.aspace in
-  match size with
-  | 1 -> Int32.of_int (Address_space.read_u8 a vaddr)
-  | 2 -> Int32.of_int (Address_space.read_u16 a vaddr)
-  | 4 -> Address_space.read_u32 a vaddr
-  | _ -> invalid_arg "Machine.load: size"
+  if fits vaddr size then begin
+    mark t ~vaddr ~write:false;
+    read_scalar t ~paddr ~size
+  end
+  else aspace_read t ~vaddr ~size
 
 let store t ~vaddr ~size v =
-  let paddr = translate t ~vaddr ~write:true in
+  let paddr = translate t ~vaddr in
   cache_access t ~paddr ~size ~write:true;
-  let a = t.aspace in
-  match size with
-  | 1 -> Address_space.write_u8 a vaddr (Int32.to_int v land 0xff)
-  | 2 -> Address_space.write_u16 a vaddr (Int32.to_int v land 0xffff)
-  | 4 -> Address_space.write_u32 a vaddr v
-  | _ -> invalid_arg "Machine.store: size"
+  if fits vaddr size then begin
+    mark t ~vaddr ~write:true;
+    write_scalar t ~paddr ~size v
+  end
+  else aspace_write t ~vaddr ~size v
+
+(* One cache access covering four contiguous elements of [size] bytes
+   (SSE loads/stores are single accesses, not per-lane ones), moved
+   straight between memory and the lanes of [xmm]. [sext] sign-extends
+   16-bit elements. *)
+let load_lanes t ~vaddr ~size ~xmm ~sext =
+  let paddr = translate t ~vaddr in
+  cache_access t ~paddr ~size:(4 * size) ~write:false;
+  let direct = fits vaddr (4 * size) in
+  if direct then mark t ~vaddr ~write:false;
+  for i = 0 to 3 do
+    let v =
+      if direct then read_scalar t ~paddr:(paddr + (i * size)) ~size
+      else aspace_read t ~vaddr:(vaddr + (i * size)) ~size
+    in
+    t.xmm.((xmm * 4) + i) <-
+      (if sext then ((v land 0xFFFF) lxor 0x8000) - 0x8000 else v)
+  done
+
+let store_lanes t ~vaddr ~size ~xmm =
+  let paddr = translate t ~vaddr in
+  cache_access t ~paddr ~size:(4 * size) ~write:true;
+  let direct = fits vaddr (4 * size) in
+  if direct then mark t ~vaddr ~write:true;
+  for i = 0 to 3 do
+    let v = t.xmm.((xmm * 4) + i) in
+    if direct then write_scalar t ~paddr:(paddr + (i * size)) ~size v
+    else aspace_write t ~vaddr:(vaddr + (i * size)) ~size v
+  done
 
 let flush_one_cache t cache =
   let dirty = Cache.flush_all cache in
@@ -265,10 +329,8 @@ let flush_range t ~vaddr ~len =
   let total = ref 0 in
   let rec go vaddr len =
     if len > 0 then begin
-      let in_page =
-        min len (Phys_mem.page_size - (vaddr land (Phys_mem.page_size - 1)))
-      in
-      let paddr = translate t ~vaddr ~write:false in
+      let in_page = min len (Phys_mem.page_size - (vaddr land page_mask)) in
+      let paddr = translate t ~vaddr in
       let d1 = Cache.flush_range t.l1 ~addr:paddr ~len:in_page in
       let d2 = Cache.flush_range t.l2 ~addr:paddr ~len:in_page in
       let bytes =
@@ -286,81 +348,275 @@ let flush_range t ~vaddr ~len =
   go vaddr len;
   !total
 
-(* ---- program loading ---- *)
+(* ---- decoded programs ----
 
-type loaded = { prog : Via32_ast.program; sym_addrs : (string * int) list }
+   [load_program] decodes each instruction once into the form [exec]
+   runs: registers become indices, data symbols fold into displacements,
+   call targets resolve to indices or intrinsic names, and the operand
+   shapes an opcode accepts become distinct constructors. *)
+
+(* [base + index*scale + disp], register fields -1 when absent. *)
+type addr = { base : int; index : int; scale : int; disp : int }
+
+type opnd = Reg of int | Imm of int | Mem of addr | Xmm of int
+
+(* SSE source: a register, or four separate dword loads. *)
+type xsrc = Xr of int | Xm of addr | Xbad
+
+type alu = Add_ | Sub_ | Imul_ | Sdiv_ | Srem_ | And_ | Or_ | Xor_
+type shift = Shl_ | Shr_ | Sar_
+
+type xbin =
+  | Paddd_
+  | Psubd_
+  | Pmulld_
+  | Pminsd_
+  | Pmaxsd_
+  | Pavgb_
+  | Pcmpgtd_
+  | Pavgd_
+  | Pand_
+  | Por_
+  | Pxor_
+  | Addps_
+  | Subps_
+  | Mulps_
+  | Divps_
+  | Minps_
+  | Maxps_
+  | Cmpps_ of cc
+
+type xun = Pabsd_ | Packus_ | Sqrtps_ | Cvtdq2ps_ | Cvtps2dq_
+
+type dinstr =
+  | Nop_
+  | Hlt_
+  | Mov_to_xmm of int * int * opnd (* bytes, xmm, src: lane 0 only *)
+  | Mov_from_xmm of int * opnd * int (* bytes, dst, xmm lane 0 *)
+  | Mov_ of int * opnd * opnd (* bytes, dst, src *)
+  | Movsx_ of int * int * opnd * addr (* bytes, bits, dst, src *)
+  | Lea_ of int * addr
+  | Alu of alu * int * opnd * opnd (* op, cost, dst, src *)
+  | Not_ of opnd
+  | Neg_ of opnd
+  | Shift of shift * opnd * opnd
+  | Cmp_ of opnd * opnd
+  | Test_ of opnd * opnd
+  | Setcc_ of cc * opnd
+  | Push_ of opnd
+  | Pop_ of int
+  | Call_internal of int
+  | Call_intrinsic of string
+  | Call_unresolved
+  | Ret_
+  | Jmp_ of int
+  | Jcc_ of cc * int
+  | Movdqu_rr of int * int
+  | Movdqu_load of int * addr
+  | Movdqu_store of addr * int
+  | Movntdq_ of addr * int
+  | Movd_to_xmm of int * int
+  | Movd_from_xmm of int * int
+  | Movpk_load of msize * int * addr
+  | Movpk_store of msize * addr * int
+  | Xbin of xbin * int * int * xsrc (* op, cost, dst, src *)
+  | Xun of xun * int * int * xsrc
+  | Psadd_ of int * xsrc
+  | Phaddd_ of int * xsrc
+  | Xshift of shift * int * int (* op, xmm, count *)
+  | Pshufd_ of int * int * int
+  | Movmskps_ of int * int
+  | Malformed (* operand shape the opcode does not accept *)
+
+type code = dinstr array
+
+type loaded = {
+  prog : Via32_ast.program;
+  sym_addrs : (string * int) list;
+  code : code;
+}
 
 exception Unbound_symbol of string
 exception Unknown_intrinsic of string
+
+let decode_addr ~symbols (m : mem) =
+  let sym =
+    match m.sym with
+    | None -> 0
+    | Some s -> (
+      match List.assoc_opt s symbols with
+      | Some a -> a
+      | None -> raise (Unbound_symbol s))
+  in
+  {
+    base = (match m.base with Some r -> reg_index r | None -> -1);
+    index = (match m.index with Some (r, _) -> reg_index r | None -> -1);
+    scale = (match m.index with Some (_, s) -> s | None -> 0);
+    disp = m.disp + sym;
+  }
+
+let decode_opnd ~symbols = function
+  | R r -> Reg (reg_index r)
+  | X x -> Xmm x
+  | I i -> Imm (Int32.to_int i)
+  | M m -> Mem (decode_addr ~symbols m)
+
+let decode_xsrc ~symbols = function
+  | X x -> Xr x
+  | M m -> Xm (decode_addr ~symbols m)
+  | R _ | I _ -> Xbad
+
+let msize_bytes = function B1 -> 1 | B2 -> 2 | B4 -> 4
+
+let decode_instr ~symbols prog pc (i : instr) =
+  let opnd = decode_opnd ~symbols and xsrc = decode_xsrc ~symbols in
+  let addr = decode_addr ~symbols in
+  let alu op c = match i.operands with [ d; s ] -> Alu (op, c, opnd d, opnd s) | _ -> Malformed in
+  let xbin op c =
+    match i.operands with [ X d; s ] -> Xbin (op, c, d, xsrc s) | _ -> Malformed
+  in
+  let xun op c =
+    match i.operands with [ X d; s ] -> Xun (op, c, d, xsrc s) | _ -> Malformed
+  in
+  let shift op = match i.operands with [ d; s ] -> Shift (op, opnd d, opnd s) | _ -> Malformed in
+  match (i.op, i.operands) with
+  | Nop, _ -> Nop_
+  | Hlt, _ -> Hlt_
+  | Mov size, [ X x; s ] -> Mov_to_xmm (msize_bytes size, x, opnd s)
+  | Mov size, [ d; X x ] -> Mov_from_xmm (msize_bytes size, opnd d, x)
+  | Mov size, [ d; s ] -> Mov_ (msize_bytes size, opnd d, opnd s)
+  | Movsx size, [ d; M m ] ->
+    let bits = match size with B1 -> 8 | B2 -> 16 | B4 -> 32 in
+    Movsx_ (msize_bytes size, bits, opnd d, addr m)
+  | Lea, [ R d; M m ] -> Lea_ (reg_index d, addr m)
+  | Add, _ -> alu Add_ c_simple
+  | Sub, _ -> alu Sub_ c_simple
+  | Imul, _ -> alu Imul_ c_imul
+  | Sdiv, _ -> alu Sdiv_ c_div
+  | Srem, _ -> alu Srem_ c_div
+  | And, _ -> alu And_ c_simple
+  | Or, _ -> alu Or_ c_simple
+  | Xor, _ -> alu Xor_ c_simple
+  | Not, [ d ] -> Not_ (opnd d)
+  | Neg, [ d ] -> Neg_ (opnd d)
+  | Shl, _ -> shift Shl_
+  | Shr, _ -> shift Shr_
+  | Sar, _ -> shift Sar_
+  | Cmp, [ a; b ] -> Cmp_ (opnd a, opnd b)
+  | Test, [ a; b ] -> Test_ (opnd a, opnd b)
+  | Setcc cc, [ d ] -> Setcc_ (cc, opnd d)
+  | Push, [ s ] -> Push_ (opnd s)
+  | Pop, [ R d ] -> Pop_ (reg_index d)
+  | Call, _ -> (
+    match Via32_ast.call_target prog pc with
+    | Some (Internal target) -> Call_internal target
+    | Some (Intrinsic name) -> Call_intrinsic name
+    | None -> Call_unresolved)
+  | Ret, _ -> Ret_
+  | Jmp, [ I target ] -> Jmp_ (Int32.to_int target)
+  | Jcc cc, [ I target ] -> Jcc_ (cc, Int32.to_int target)
+  | Movdqu, [ X d; X s ] -> Movdqu_rr (d, s)
+  | Movdqu, [ X d; M m ] -> Movdqu_load (d, addr m)
+  | Movdqu, [ M m; X s ] -> Movdqu_store (addr m, s)
+  | Movntdq, [ M m; X s ] -> Movntdq_ (addr m, s)
+  | Movd, [ X d; R s ] -> Movd_to_xmm (d, reg_index s)
+  | Movd, [ R d; X s ] -> Movd_from_xmm (reg_index d, s)
+  | Movpk size, [ X d; M m ] -> Movpk_load (size, d, addr m)
+  | Movpk size, [ M m; X s ] -> Movpk_store (size, addr m, s)
+  | Paddd, _ -> xbin Paddd_ c_simd
+  | Psubd, _ -> xbin Psubd_ c_simd
+  | Pmulld, _ -> xbin Pmulld_ c_simd
+  | Pminsd, _ -> xbin Pminsd_ c_simd
+  | Pmaxsd, _ -> xbin Pmaxsd_ c_simd
+  | Pabsd, _ -> xun Pabsd_ c_simd
+  | Pavgb, _ -> xbin Pavgb_ c_simd
+  | Pcmpgtd, _ -> xbin Pcmpgtd_ c_simd
+  | Pavgd, _ -> xbin Pavgd_ c_simd
+  | Psadd, [ X d; s ] -> Psadd_ (d, xsrc s)
+  | Phaddd, [ X d; s ] -> Phaddd_ (d, xsrc s)
+  | Packus, _ -> xun Packus_ c_simd
+  | Pand, _ -> xbin Pand_ c_simd
+  | Por, _ -> xbin Por_ c_simd
+  | Pxor, _ -> xbin Pxor_ c_simd
+  | Pslld, [ X d; I n ] -> Xshift (Shl_, d, Int32.to_int n land 31)
+  | Psrld, [ X d; I n ] -> Xshift (Shr_, d, Int32.to_int n land 31)
+  | Psrad, [ X d; I n ] -> Xshift (Sar_, d, Int32.to_int n land 31)
+  | Pshufd, [ X d; X s; I ctrl ] -> Pshufd_ (d, s, Int32.to_int ctrl)
+  | Addps, _ -> xbin Addps_ c_simd
+  | Subps, _ -> xbin Subps_ c_simd
+  | Mulps, _ -> xbin Mulps_ c_simd
+  | Divps, _ -> xbin Divps_ c_divps
+  | Minps, _ -> xbin Minps_ c_simd
+  | Maxps, _ -> xbin Maxps_ c_simd
+  | Sqrtps, _ -> xun Sqrtps_ c_sqrtps
+  | Cvtdq2ps, _ -> xun Cvtdq2ps_ c_simd
+  | Cvtps2dq, _ -> xun Cvtps2dq_ c_simd
+  | Cmpps cc, _ -> xbin (Cmpps_ cc) c_simd
+  | Movmskps, [ R d; X s ] -> Movmskps_ (reg_index d, s)
+  | ( ( Mov _ | Movsx _ | Lea | Not | Neg | Cmp | Test | Setcc _ | Push | Pop
+      | Jmp | Jcc _ | Movdqu | Movntdq | Movd | Movpk _ | Psadd | Phaddd
+      | Pslld | Psrld | Psrad | Pshufd | Movmskps ),
+      _ ) ->
+    Malformed
 
 let load_program prog ~symbols =
   Array.iter
     (fun s ->
       if not (List.mem_assoc s symbols) then raise (Unbound_symbol s))
     prog.symbols;
-  { prog; sym_addrs = symbols }
+  {
+    prog;
+    sym_addrs = symbols;
+    code = Array.mapi (decode_instr ~symbols prog) prog.instrs;
+  }
 
 (* ---- execution ---- *)
 
 type stop_reason = Halted | Ret_to_host | Fuel_exhausted | Paused of int
 
-let mem_addr t loaded (m : mem) =
-  let base = match m.base with Some r -> Int32.to_int (get_reg t r) | None -> 0 in
-  let index =
-    match m.index with
-    | Some (r, s) -> Int32.to_int (get_reg t r) * s
-    | None -> 0
-  in
-  let sym =
-    match m.sym with
-    | Some s -> (
-      match List.assoc_opt s loaded.sym_addrs with
-      | Some a -> a
-      | None -> raise (Unbound_symbol s))
-    | None -> 0
-  in
-  (base + index + m.disp + sym) land 0xFFFF_FFFF
+let ea t a =
+  let base = if a.base >= 0 then t.regs.(a.base) else 0 in
+  let index = if a.index >= 0 then t.regs.(a.index) * a.scale else 0 in
+  (base + index + a.disp) land 0xFFFF_FFFF
 
-let scalar_value t loaded ~size = function
-  | R r -> get_reg t r
-  | I i -> i
-  | M m -> load t ~vaddr:(mem_addr t loaded m) ~size
-  | X _ -> invalid_arg "scalar_value: xmm"
+let read_opnd t ~size = function
+  | Reg r -> t.regs.(r)
+  | Imm i -> i
+  | Mem a -> load t ~vaddr:(ea t a) ~size
+  | Xmm _ -> invalid_arg "scalar_value: xmm"
 
-let scalar_store t loaded ~size v = function
-  | R r -> set_reg t r v
-  | M m -> store t ~vaddr:(mem_addr t loaded m) ~size v
-  | I _ | X _ -> invalid_arg "scalar_store"
+let write_opnd t ~size v = function
+  | Reg r -> t.regs.(r) <- v
+  | Mem a -> store t ~vaddr:(ea t a) ~size v
+  | Imm _ | Xmm _ -> invalid_arg "scalar_store"
 
-let get_xmm4 t x = Array.init 4 (fun i -> t.xmm.((x * 4) + i))
-let set_xmm4 t x v = Array.blit v 0 t.xmm (x * 4) 4
-
-let xmm_src t loaded = function
-  | X x -> get_xmm4 t x
-  | M m ->
-    let base = mem_addr t loaded m in
-    Array.init 4 (fun i -> load t ~vaddr:(base + (i * 4)) ~size:4)
-  | R _ | I _ -> invalid_arg "xmm_src"
+(* Copy the second source of an SSE operation into [t.src4], so the
+   destination can be updated in place. A memory source is four
+   separate dword loads. *)
+let fetch_xsrc t = function
+  | Xr x -> Array.blit t.xmm (x * 4) t.src4 0 4
+  | Xm a ->
+    let base = ea t a in
+    for i = 0 to 3 do
+      t.src4.(i) <- load t ~vaddr:(base + (i * 4)) ~size:4
+    done
+  | Xbad -> invalid_arg "xmm_src"
 
 let eval_cc cc a b =
-  let sa = Int32.compare a b in
-  let ua =
-    Int32.unsigned_compare a b
-  in
   match cc with
-  | E -> sa = 0
-  | NE -> sa <> 0
-  | L -> sa < 0
-  | LE -> sa <= 0
-  | G -> sa > 0
-  | GE -> sa >= 0
-  | B -> ua < 0
-  | BE -> ua <= 0
-  | A -> ua > 0
-  | AE -> ua >= 0
+  | E -> a = b
+  | NE -> a <> b
+  | L -> a < b
+  | LE -> a <= b
+  | G -> a > b
+  | GE -> a >= b
+  | B -> u32 a < u32 b
+  | BE -> u32 a <= u32 b
+  | A -> u32 a > u32 b
+  | AE -> u32 a >= u32 b
 
-let f32 = Int32.float_of_bits
-let bits = Int32.bits_of_float
+let[@inline] f32 v = Int32.float_of_bits (Int32.of_int v)
+let[@inline] bits f = Int32.to_int (Int32.bits_of_float f)
 
 let eval_cc_float cc a b =
   let fa = f32 a and fb = f32 b in
@@ -372,425 +628,315 @@ let eval_cc_float cc a b =
   | G | A -> fa > fb
   | GE | AE -> fa >= fb
 
-let clamp_u8 v =
-  if Int32.compare v 0l < 0 then 0l
-  else if Int32.compare v 255l > 0 then 255l
-  else v
+let alu op a b =
+  match op with
+  | Add_ -> s32 (a + b)
+  | Sub_ -> s32 (a - b)
+  | Imul_ -> s32 (a * b)
+  | Sdiv_ -> if b = 0 then 0 else s32 (a / b)
+  | Srem_ -> if b = 0 then 0 else a mod b
+  | And_ -> a land b
+  | Or_ -> a lor b
+  | Xor_ -> a lxor b
 
-(* Execute instruction at [pc]; return the next pc, or None to stop. *)
-let exec_instr t loaded ~intrinsics ~pc =
-  let prog = loaded.prog in
-  let i = prog.instrs.(pc) in
+let shift op a n =
+  match op with
+  | Shl_ -> s32 (a lsl n)
+  | Shr_ -> s32 (u32 a lsr n)
+  | Sar_ -> a asr n
+
+let avg_byte a b sh = ((((a lsr sh) land 0xff) + ((b lsr sh) land 0xff) + 1) lsr 1) lsl sh
+
+let xbin op a b =
+  match op with
+  | Paddd_ -> s32 (a + b)
+  | Psubd_ -> s32 (a - b)
+  | Pmulld_ -> s32 (a * b)
+  | Pminsd_ -> if a < b then a else b
+  | Pmaxsd_ -> if a > b then a else b
+  | Pavgb_ ->
+    s32 (avg_byte a b 0 lor avg_byte a b 8 lor avg_byte a b 16 lor avg_byte a b 24)
+  | Pcmpgtd_ -> if a > b then -1 else 0
+  | Pavgd_ -> s32 ((u32 a + u32 b + 1) / 2)
+  | Pand_ -> a land b
+  | Por_ -> a lor b
+  | Pxor_ -> a lxor b
+  | Addps_ -> bits (f32 a +. f32 b)
+  | Subps_ -> bits (f32 a -. f32 b)
+  | Mulps_ -> bits (f32 a *. f32 b)
+  | Divps_ -> bits (f32 a /. f32 b)
+  | Minps_ -> bits (Float.min (f32 a) (f32 b))
+  | Maxps_ -> bits (Float.max (f32 a) (f32 b))
+  | Cmpps_ cc -> if eval_cc_float cc a b then -1 else 0
+
+let xun op a =
+  match op with
+  | Pabsd_ -> s32 (abs a)
+  | Packus_ -> if a < 0 then 0 else if a > 255 then 255 else a
+  | Sqrtps_ -> bits (sqrt (f32 a))
+  | Cvtdq2ps_ -> bits (Int32.to_float (Int32.of_int a))
+  | Cvtps2dq_ -> Int32.to_int (Int32.of_float (Float.round (f32 a)))
+
+(* Execute instruction [pc]; return the next pc, or -1 to stop. *)
+let exec t loaded ~intrinsics ~pc =
   let next = pc + 1 in
-  let binop_scalar f cost_q =
-    match i.operands with
-    | [ d; s ] ->
-      let size = 4 in
-      let a = scalar_value t loaded ~size d in
-      let b = scalar_value t loaded ~size s in
-      scalar_store t loaded ~size (f a b) d;
-      cost t cost_q;
-      Some next
-    | _ -> assert false
-  in
-  let unop_scalar f =
-    match i.operands with
-    | [ d ] ->
-      let a = scalar_value t loaded ~size:4 d in
-      scalar_store t loaded ~size:4 (f a) d;
-      cost t c_simple;
-      Some next
-    | _ -> assert false
-  in
-  let binop_xmm f cost_q =
-    match i.operands with
-    | [ X d; s ] ->
-      let a = get_xmm4 t d and b = xmm_src t loaded s in
-      set_xmm4 t d (Array.init 4 (fun l -> f a.(l) b.(l)));
-      cost t cost_q;
-      Some next
-    | _ -> assert false
-  in
-  let unop_xmm f cost_q =
-    match i.operands with
-    | [ X d; s ] ->
-      let b = xmm_src t loaded s in
-      set_xmm4 t d (Array.map f b);
-      cost t cost_q;
-      Some next
-    | _ -> assert false
-  in
-  let shift_amount s = Int32.to_int (scalar_value t loaded ~size:4 s) land 31 in
-  match i.op with
-  | Nop ->
+  match loaded.code.(pc) with
+  | Nop_ ->
     cost t c_simple;
-    Some next
-  | Hlt -> None
-  | Mov size -> (
-    let bytes = match size with B1 -> 1 | B2 -> 2 | B4 -> 4 in
-    match i.operands with
-    | [ d; s ] ->
-      (match (d, s) with
-      | X x, _ ->
-        (* mov.d xmm, r/imm: broadcast is not implied; lane 0 only *)
-        let v = scalar_value t loaded ~size:bytes s in
-        set_xmm_lane t ~xmm:x ~lane:0 v;
-        cost t c_simple
-      | _, X x ->
-        let v = get_xmm_lane t ~xmm:x ~lane:0 in
-        scalar_store t loaded ~size:bytes v d;
-        cost t c_simple
-      | _ ->
-        let v = scalar_value t loaded ~size:bytes s in
-        scalar_store t loaded ~size:bytes v d;
-        cost t c_simple);
-      Some next
-    | _ -> assert false)
-  | Movsx size -> (
-    let bytes, bits_n = match size with B1 -> (1, 8) | B2 -> (2, 16) | B4 -> (4, 32) in
-    match i.operands with
-    | [ d; M m ] ->
-      let v = load t ~vaddr:(mem_addr t loaded m) ~size:bytes in
-      let v =
-        Int32.of_int (Bits.sign_extend (Int32.to_int v) ~bits:bits_n)
-      in
-      scalar_store t loaded ~size:4 v d;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Lea -> (
-    match i.operands with
-    | [ R d; M m ] ->
-      set_reg t d (Int32.of_int (mem_addr t loaded m));
-      cost t c_lea;
-      Some next
-    | _ -> assert false)
-  | Add -> binop_scalar Int32.add c_simple
-  | Sub -> binop_scalar Int32.sub c_simple
-  | Imul -> binop_scalar Int32.mul c_imul
-  | Sdiv ->
-    binop_scalar
-      (fun a b -> if b = 0l then 0l else Int32.div a b)
-      c_div
-  | Srem ->
-    binop_scalar (fun a b -> if b = 0l then 0l else Int32.rem a b) c_div
-  | And -> binop_scalar Int32.logand c_simple
-  | Or -> binop_scalar Int32.logor c_simple
-  | Xor -> binop_scalar Int32.logxor c_simple
-  | Not -> unop_scalar Int32.lognot
-  | Neg -> unop_scalar Int32.neg
-  | Shl -> (
-    match i.operands with
-    | [ d; s ] ->
-      let a = scalar_value t loaded ~size:4 d in
-      scalar_store t loaded ~size:4 (Int32.shift_left a (shift_amount s)) d;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Shr -> (
-    match i.operands with
-    | [ d; s ] ->
-      let a = scalar_value t loaded ~size:4 d in
-      scalar_store t loaded ~size:4
-        (Int32.shift_right_logical a (shift_amount s))
-        d;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Sar -> (
-    match i.operands with
-    | [ d; s ] ->
-      let a = scalar_value t loaded ~size:4 d in
-      scalar_store t loaded ~size:4 (Int32.shift_right a (shift_amount s)) d;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Cmp -> (
-    match i.operands with
-    | [ a; b ] ->
-      t.flags.a <- scalar_value t loaded ~size:4 a;
-      t.flags.b <- scalar_value t loaded ~size:4 b;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Test -> (
-    match i.operands with
-    | [ a; b ] ->
-      let va = scalar_value t loaded ~size:4 a in
-      let vb = scalar_value t loaded ~size:4 b in
-      t.flags.a <- Int32.logand va vb;
-      t.flags.b <- 0l;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Setcc cc -> (
-    match i.operands with
-    | [ d ] ->
-      scalar_store t loaded ~size:4
-        (if eval_cc cc t.flags.a t.flags.b then 1l else 0l)
-        d;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Push -> (
-    match i.operands with
-    | [ s ] ->
-      let v = scalar_value t loaded ~size:4 s in
-      let sp = Int32.to_int (get_reg t ESP) - 4 in
-      set_reg t ESP (Int32.of_int sp);
-      store t ~vaddr:sp ~size:4 v;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Pop -> (
-    match i.operands with
-    | [ R d ] ->
-      let sp = Int32.to_int (get_reg t ESP) in
-      let v = load t ~vaddr:sp ~size:4 in
-      set_reg t ESP (Int32.of_int (sp + 4));
-      set_reg t d v;
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Call -> (
+    next
+  | Hlt_ -> -1
+  | Mov_to_xmm (size, x, s) ->
+    (* mov.d xmm, r/imm: broadcast is not implied; lane 0 only *)
+    t.xmm.(x * 4) <- read_opnd t ~size s;
+    cost t c_simple;
+    next
+  | Mov_from_xmm (size, d, x) ->
+    write_opnd t ~size t.xmm.(x * 4) d;
+    cost t c_simple;
+    next
+  | Mov_ (size, d, s) ->
+    write_opnd t ~size (read_opnd t ~size s) d;
+    cost t c_simple;
+    next
+  | Movsx_ (size, bits_n, d, a) ->
+    let v = load t ~vaddr:(ea t a) ~size in
+    write_opnd t ~size:4 (Bits.sign_extend v ~bits:bits_n) d;
+    cost t c_simple;
+    next
+  | Lea_ (d, a) ->
+    t.regs.(d) <- s32 (ea t a);
+    cost t c_lea;
+    next
+  | Alu (op, c, d, s) ->
+    let a = read_opnd t ~size:4 d in
+    let b = read_opnd t ~size:4 s in
+    write_opnd t ~size:4 (alu op a b) d;
+    cost t c;
+    next
+  | Not_ d ->
+    write_opnd t ~size:4 (lnot (read_opnd t ~size:4 d)) d;
+    cost t c_simple;
+    next
+  | Neg_ d ->
+    write_opnd t ~size:4 (s32 (-read_opnd t ~size:4 d)) d;
+    cost t c_simple;
+    next
+  | Shift (op, d, s) ->
+    let a = read_opnd t ~size:4 d in
+    let n = read_opnd t ~size:4 s land 31 in
+    write_opnd t ~size:4 (shift op a n) d;
+    cost t c_simple;
+    next
+  | Cmp_ (a, b) ->
+    t.flag_a <- read_opnd t ~size:4 a;
+    t.flag_b <- read_opnd t ~size:4 b;
+    cost t c_simple;
+    next
+  | Test_ (a, b) ->
+    let va = read_opnd t ~size:4 a in
+    let vb = read_opnd t ~size:4 b in
+    t.flag_a <- va land vb;
+    t.flag_b <- 0;
+    cost t c_simple;
+    next
+  | Setcc_ (cc, d) ->
+    write_opnd t ~size:4 (if eval_cc cc t.flag_a t.flag_b then 1 else 0) d;
+    cost t c_simple;
+    next
+  | Push_ s ->
+    let v = read_opnd t ~size:4 s in
+    let sp = t.regs.(7) - 4 in
+    t.regs.(7) <- s32 sp;
+    store t ~vaddr:sp ~size:4 v;
+    cost t c_simple;
+    next
+  | Pop_ d ->
+    let sp = t.regs.(7) in
+    let v = load t ~vaddr:sp ~size:4 in
+    t.regs.(7) <- s32 (sp + 4);
+    t.regs.(d) <- v;
+    cost t c_simple;
+    next
+  | Call_internal target ->
     cost t c_callret;
-    match Via32_ast.call_target prog pc with
-    | Some (Internal target) ->
-      t.call_stack <- next :: t.call_stack;
-      Some target
-    | Some (Intrinsic name) ->
-      intrinsics name t;
-      Some next
-    | None -> raise (Unknown_intrinsic "unresolved call"))
-  | Ret -> (
+    t.call_stack <- next :: t.call_stack;
+    target
+  | Call_intrinsic name ->
+    cost t c_callret;
+    intrinsics name t;
+    next
+  | Call_unresolved ->
+    cost t c_callret;
+    raise (Unknown_intrinsic "unresolved call")
+  | Ret_ -> (
     cost t c_callret;
     match t.call_stack with
     | ra :: rest ->
       t.call_stack <- rest;
-      Some ra
-    | [] -> None)
-  | Jmp -> (
+      ra
+    | [] -> -1)
+  | Jmp_ target ->
     cost t c_br_taken;
-    match i.operands with [ I target ] -> Some (Int32.to_int target) | _ -> assert false)
-  | Jcc cc -> (
-    match i.operands with
-    | [ I target ] ->
-      if eval_cc cc t.flags.a t.flags.b then begin
-        cost t c_br_taken;
-        Some (Int32.to_int target)
-      end
-      else begin
-        cost t c_br_not_taken;
-        Some next
-      end
-    | _ -> assert false)
-  | Movdqu -> (
-    match i.operands with
-    | [ X d; X s ] ->
-      set_xmm4 t d (get_xmm4 t s);
-      cost t c_simd;
-      Some next
-    | [ X d; M m ] ->
-      let base = mem_addr t loaded m in
-      set_xmm4 t d (load_multi t ~vaddr:base ~count:4 ~size:4);
-      cost t c_simd;
-      Some next
-    | [ M m; X s ] ->
-      let base = mem_addr t loaded m in
-      store_multi t ~vaddr:base ~size:4 (get_xmm4 t s);
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Movntdq -> (
-    match i.operands with
-    | [ M m; X src ] ->
-      let base = mem_addr t loaded m in
-      let paddr = translate t ~vaddr:base ~write:true in
-      (* write-combining: posted straight to the bus, no cache line *)
-      ignore (cpu_bus_request ~latency:false t ~bytes:16);
-      ignore paddr;
-      let a = t.aspace in
-      Array.iteri
-        (fun l lane -> Address_space.write_u32 a (base + (l * 4)) lane)
-        (get_xmm4 t src);
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Movd -> (
-    match i.operands with
-    | [ X d; R s ] ->
-      let v = get_reg t s in
-      set_xmm4 t d [| v; 0l; 0l; 0l |];
-      cost t c_simple;
-      Some next
-    | [ R d; X s ] ->
-      set_reg t d (get_xmm_lane t ~xmm:s ~lane:0);
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
-  | Movpk size -> (
-    let bytes = match size with B1 -> 1 | B2 -> 2 | B4 -> 4 in
-    match i.operands with
-    | [ X d; M m ] ->
-      let base = mem_addr t loaded m in
-      let raw = load_multi t ~vaddr:base ~count:4 ~size:bytes in
-      let v =
-        Array.map
-          (fun r ->
-            match size with
-            | B1 -> r (* zero-extend bytes *)
-            | B2 -> Int32.of_int (Bits.sign_extend (Int32.to_int r) ~bits:16)
-            | B4 -> r)
-          raw
-      in
-      set_xmm4 t d v;
-      cost t c_simd;
-      Some next
-    | [ M m; X s ] ->
-      let base = mem_addr t loaded m in
-      store_multi t ~vaddr:base ~size:bytes (get_xmm4 t s);
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Paddd -> binop_xmm Int32.add c_simd
-  | Psubd -> binop_xmm Int32.sub c_simd
-  | Pmulld -> binop_xmm Int32.mul c_simd
-  | Pminsd -> binop_xmm (fun a b -> if Int32.compare a b < 0 then a else b) c_simd
-  | Pmaxsd -> binop_xmm (fun a b -> if Int32.compare a b > 0 then a else b) c_simd
-  | Pabsd -> unop_xmm Int32.abs c_simd
-  | Pavgb ->
-    binop_xmm
-      (fun a b ->
-        let avg_byte sh =
-          let ba = (Int32.to_int a lsr sh) land 0xff
-          and bb = (Int32.to_int b lsr sh) land 0xff in
-          (ba + bb + 1) lsr 1
-        in
-        Int32.of_int
-          (avg_byte 0 lor (avg_byte 8 lsl 8) lor (avg_byte 16 lsl 16)
-          lor (avg_byte 24 lsl 24)))
-      c_simd
-  | Pcmpgtd ->
-    binop_xmm
-      (fun a b -> if Int32.compare a b > 0 then 0xFFFFFFFFl else 0l)
-      c_simd
-  | Pavgd ->
-    binop_xmm
-      (fun a b ->
-        let a64 = Int64.logand (Int64.of_int32 a) 0xFFFFFFFFL in
-        let b64 = Int64.logand (Int64.of_int32 b) 0xFFFFFFFFL in
-        Int64.to_int32 (Int64.div (Int64.add (Int64.add a64 b64) 1L) 2L))
-      c_simd
-  | Psadd -> (
-    match i.operands with
-    | [ X d; s ] ->
-      let a = get_xmm4 t d and b = xmm_src t loaded s in
-      let sum = ref 0l in
-      for l = 0 to 3 do
-        sum := Int32.add !sum (Int32.abs (Int32.sub a.(l) b.(l)))
-      done;
-      set_xmm4 t d [| !sum; 0l; 0l; 0l |];
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Phaddd -> (
-    match i.operands with
-    | [ X d; s ] ->
-      let b = xmm_src t loaded s in
-      let sum = Array.fold_left Int32.add 0l b in
-      set_xmm4 t d [| sum; 0l; 0l; 0l |];
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Packus -> unop_xmm clamp_u8 c_simd
-  | Pand -> binop_xmm Int32.logand c_simd
-  | Por -> binop_xmm Int32.logor c_simd
-  | Pxor -> binop_xmm Int32.logxor c_simd
-  | Pslld | Psrld | Psrad -> (
-    match i.operands with
-    | [ X d; I n ] ->
-      let n = Int32.to_int n land 31 in
-      let f =
-        match i.op with
-        | Pslld -> fun v -> Int32.shift_left v n
-        | Psrld -> fun v -> Int32.shift_right_logical v n
-        | _ -> fun v -> Int32.shift_right v n
-      in
-      set_xmm4 t d (Array.map f (get_xmm4 t d));
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Pshufd -> (
-    match i.operands with
-    | [ X d; X s; I ctrl ] ->
-      let c = Int32.to_int ctrl in
-      let src = get_xmm4 t s in
-      set_xmm4 t d (Array.init 4 (fun l -> src.((c lsr (l * 2)) land 3)));
-      cost t c_simd;
-      Some next
-    | _ -> assert false)
-  | Addps -> binop_xmm (fun a b -> bits (f32 a +. f32 b)) c_simd
-  | Subps -> binop_xmm (fun a b -> bits (f32 a -. f32 b)) c_simd
-  | Mulps -> binop_xmm (fun a b -> bits (f32 a *. f32 b)) c_simd
-  | Divps -> binop_xmm (fun a b -> bits (f32 a /. f32 b)) c_divps
-  | Minps -> binop_xmm (fun a b -> bits (Float.min (f32 a) (f32 b))) c_simd
-  | Maxps -> binop_xmm (fun a b -> bits (Float.max (f32 a) (f32 b))) c_simd
-  | Sqrtps -> unop_xmm (fun a -> bits (sqrt (f32 a))) c_sqrtps
-  | Cvtdq2ps -> unop_xmm (fun a -> bits (Int32.to_float a)) c_simd
-  | Cvtps2dq ->
-    unop_xmm
-      (fun a -> Int32.of_float (Float.round (f32 a)))
-      c_simd
-  | Cmpps cc ->
-    binop_xmm
-      (fun a b -> if eval_cc_float cc a b then 0xFFFFFFFFl else 0l)
-      c_simd
-  | Movmskps -> (
-    match i.operands with
-    | [ R d; X s ] ->
-      let v = get_xmm4 t s in
-      let mask = ref 0 in
-      Array.iteri
-        (fun l lane -> if Int32.compare lane 0l < 0 then mask := !mask lor (1 lsl l))
-        v;
-      set_reg t d (Int32.of_int !mask);
-      cost t c_simple;
-      Some next
-    | _ -> assert false)
+    target
+  | Jcc_ (cc, target) ->
+    if eval_cc cc t.flag_a t.flag_b then begin
+      cost t c_br_taken;
+      target
+    end
+    else begin
+      cost t c_br_not_taken;
+      next
+    end
+  | Movdqu_rr (d, s) ->
+    Array.blit t.xmm (s * 4) t.xmm (d * 4) 4;
+    cost t c_simd;
+    next
+  | Movdqu_load (d, a) ->
+    load_lanes t ~vaddr:(ea t a) ~size:4 ~xmm:d ~sext:false;
+    cost t c_simd;
+    next
+  | Movdqu_store (a, s) ->
+    store_lanes t ~vaddr:(ea t a) ~size:4 ~xmm:s;
+    cost t c_simd;
+    next
+  | Movntdq_ (a, s) ->
+    let base = ea t a in
+    let paddr = translate t ~vaddr:base in
+    (* write-combining: posted straight to the bus, no cache line *)
+    ignore (cpu_bus_request ~latency:false t ~bytes:16);
+    let direct = fits base 16 in
+    if direct then mark t ~vaddr:base ~write:true;
+    for l = 0 to 3 do
+      let v = t.xmm.((s * 4) + l) in
+      if direct then Phys_mem.write_i32 t.mem (paddr + (l * 4)) v
+      else Address_space.write_i32 t.aspace (base + (l * 4)) v
+    done;
+    cost t c_simd;
+    next
+  | Movd_to_xmm (d, s) ->
+    let o = d * 4 in
+    t.xmm.(o) <- t.regs.(s);
+    t.xmm.(o + 1) <- 0;
+    t.xmm.(o + 2) <- 0;
+    t.xmm.(o + 3) <- 0;
+    cost t c_simple;
+    next
+  | Movd_from_xmm (d, s) ->
+    t.regs.(d) <- t.xmm.(s * 4);
+    cost t c_simple;
+    next
+  | Movpk_load (size, d, a) ->
+    (* bytes zero-extend, words sign-extend *)
+    load_lanes t ~vaddr:(ea t a) ~size:(msize_bytes size) ~xmm:d
+      ~sext:(size = B2);
+    cost t c_simd;
+    next
+  | Movpk_store (size, a, s) ->
+    store_lanes t ~vaddr:(ea t a) ~size:(msize_bytes size) ~xmm:s;
+    cost t c_simd;
+    next
+  | Xbin (op, c, d, s) ->
+    fetch_xsrc t s;
+    let o = d * 4 in
+    for l = 0 to 3 do
+      t.xmm.(o + l) <- xbin op t.xmm.(o + l) t.src4.(l)
+    done;
+    cost t c;
+    next
+  | Xun (op, c, d, s) ->
+    fetch_xsrc t s;
+    let o = d * 4 in
+    for l = 0 to 3 do
+      t.xmm.(o + l) <- xun op t.src4.(l)
+    done;
+    cost t c;
+    next
+  | Psadd_ (d, s) ->
+    fetch_xsrc t s;
+    let o = d * 4 in
+    let sum = ref 0 in
+    for l = 0 to 3 do
+      sum := s32 (!sum + abs (s32 (t.xmm.(o + l) - t.src4.(l))))
+    done;
+    t.xmm.(o) <- !sum;
+    t.xmm.(o + 1) <- 0;
+    t.xmm.(o + 2) <- 0;
+    t.xmm.(o + 3) <- 0;
+    cost t c_simd;
+    next
+  | Phaddd_ (d, s) ->
+    fetch_xsrc t s;
+    let o = d * 4 in
+    t.xmm.(o) <- s32 (t.src4.(0) + t.src4.(1) + t.src4.(2) + t.src4.(3));
+    t.xmm.(o + 1) <- 0;
+    t.xmm.(o + 2) <- 0;
+    t.xmm.(o + 3) <- 0;
+    cost t c_simd;
+    next
+  | Xshift (op, d, n) ->
+    let o = d * 4 in
+    for l = 0 to 3 do
+      t.xmm.(o + l) <- shift op t.xmm.(o + l) n
+    done;
+    cost t c_simd;
+    next
+  | Pshufd_ (d, s, c) ->
+    Array.blit t.xmm (s * 4) t.src4 0 4;
+    let o = d * 4 in
+    for l = 0 to 3 do
+      t.xmm.(o + l) <- t.src4.((c lsr (l * 2)) land 3)
+    done;
+    cost t c_simd;
+    next
+  | Movmskps_ (d, s) ->
+    let mask = ref 0 in
+    for l = 0 to 3 do
+      if t.xmm.((s * 4) + l) < 0 then mask := !mask lor (1 lsl l)
+    done;
+    t.regs.(d) <- !mask;
+    cost t c_simple;
+    next
+  | Malformed -> assert false
 
-let run ?fuel ?poll ?on_instr t loaded ~entry ~intrinsics =
-  let fuel = ref (Option.value fuel ~default:max_int) in
+let run ?(fuel = max_int) ?poll ?on_instr t loaded ~entry ~intrinsics =
+  let fuel = ref fuel in
   let pc = ref entry in
   let result = ref None in
-  while !result = None do
-    if !fuel <= 0 then result := Some Fuel_exhausted
+  let running = ref true in
+  while !running do
+    if !fuel <= 0 then begin
+      result := Some Fuel_exhausted;
+      running := false
+    end
     else begin
       decr fuel;
       if t.pending_overhead_ps > 0 then begin
         t.now_ps <- t.now_ps + t.pending_overhead_ps;
         t.pending_overhead_ps <- 0
       end;
-      Option.iter (fun f -> f t) poll;
+      (match poll with Some f -> f t | None -> ());
       let pause =
         match on_instr with
         | Some f -> f t ~pc:!pc = `Pause
         | None -> false
       in
-      if pause then result := Some (Paused !pc)
+      if pause then begin
+        result := Some (Paused !pc);
+        running := false
+      end
       else begin
         let stop_kind =
-          match loaded.prog.instrs.(!pc).op with
-          | Hlt -> Some Halted
-          | Ret when t.call_stack = [] -> Some Ret_to_host
-          | _ -> None
+          match loaded.code.(!pc) with
+          | Ret_ when t.call_stack = [] -> Ret_to_host
+          | _ -> Halted
         in
-        match exec_instr t loaded ~intrinsics ~pc:!pc with
-        | Some next ->
-          t.retired <- t.retired + 1;
-          pc := next
-        | None ->
-          t.retired <- t.retired + 1;
-          result := Some (Option.value stop_kind ~default:Halted)
+        let next = exec t loaded ~intrinsics ~pc:!pc in
+        t.retired <- t.retired + 1;
+        if next >= 0 then pc := next
+        else begin
+          result := Some stop_kind;
+          running := false
+        end
       end
     end
   done;

@@ -60,10 +60,7 @@ val set_reg : t -> Exochi_isa.Via32_ast.reg -> int32 -> unit
 val get_xmm_lane : t -> xmm:int -> lane:int -> int32
 val set_xmm_lane : t -> xmm:int -> lane:int -> int32 -> unit
 
-(** {1 Timed data access (cache + bus accounting)} *)
-
-val load : t -> vaddr:int -> size:int -> int32
-val store : t -> vaddr:int -> size:int -> int32 -> unit
+(** {1 Cache maintenance} *)
 
 (** Flush both data caches, paying the write-back cost through the bus;
     returns the number of dirty bytes written back. *)
@@ -74,13 +71,20 @@ val flush_range : t -> vaddr:int -> len:int -> int
 
 (** {1 Program execution} *)
 
+(** A program decoded for execution: registers resolved to indices,
+    data symbols folded into displacements, call targets resolved. *)
+type code
+
 (** A loaded program: code plus the data-symbol binding produced by the
-    loader. *)
+    loader, and the decoded form [run] executes. *)
 type loaded = {
   prog : Exochi_isa.Via32_ast.program;
   sym_addrs : (string * int) list;
+  code : code;
 }
 
+(** [load_program prog ~symbols] binds data symbols and decodes [prog]
+    once. Raises [Unbound_symbol] for a symbol [symbols] lacks. *)
 val load_program :
   Exochi_isa.Via32_ast.program -> symbols:(string * int) list -> loaded
 

@@ -37,90 +37,103 @@ let regions t = List.rev_map (fun r -> (r.name, r.base, r.bytes)) t.regions
 let in_some_region t vaddr =
   List.exists (fun r -> vaddr >= r.base && vaddr < r.base + r.bytes) t.regions
 
+(* The OS page-fault handler: map a fresh frame at [vaddr]'s page with
+   the given accessed/dirty bits; returns the frame. *)
+let map_fresh t ~vaddr ~accessed ~dirty =
+  if not (in_some_region t vaddr) then raise (Segfault vaddr);
+  let frame = Phys_mem.alloc_frame t.mem in
+  let pte =
+    Pte.Ia32.make
+      {
+        Pte.Ia32.present = true;
+        writable = true;
+        user = true;
+        write_through = false;
+        cache_disable = false;
+        accessed;
+        dirty;
+        frame;
+      }
+  in
+  Page_table.map t.pt ~vpage:(vaddr lsr Phys_mem.page_shift) ~pte;
+  t.minor_faults <- t.minor_faults + 1;
+  frame
+
 let fault_in t ~vaddr =
   let vpage = vaddr lsr Phys_mem.page_shift in
   match Page_table.walk t.pt ~vpage with
   | Page_table.Mapped _ -> `Already
   | No_table | Not_present ->
-    if not (in_some_region t vaddr) then raise (Segfault vaddr);
-    let frame = Phys_mem.alloc_frame t.mem in
-    let pte =
-      Pte.Ia32.make
-        {
-          Pte.Ia32.present = true;
-          writable = true;
-          user = true;
-          write_through = false;
-          cache_disable = false;
-          accessed = false;
-          dirty = false;
-          frame;
-        }
-    in
-    Page_table.map t.pt ~vpage ~pte;
-    t.minor_faults <- t.minor_faults + 1;
+    ignore (map_fresh t ~vaddr ~accessed:false ~dirty:false);
     `Faulted
 
-let translate t ~vaddr ~write =
-  ignore (fault_in t ~vaddr);
-  match Page_table.translate ~set_dirty:write t.pt ~vaddr with
-  | Some pa -> pa
-  | None -> raise (Segfault vaddr)
+let page_mask = Phys_mem.page_size - 1
 
-(* Scalar accessors narrower than a page never straddle pages when
-   naturally aligned; we handle the unaligned straddle case by splitting
-   into bytes. *)
-let page_off vaddr = vaddr land (Phys_mem.page_size - 1)
+(* One walk per access: a mapped page gets its accessed (and dirty) bit
+   set by the walk; an unmapped one is faulted in with those bits
+   already set, the state a fault followed by a walk would leave. *)
+let translate t ~vaddr ~write =
+  let frame = Page_table.access t.pt ~vpage:(vaddr lsr Phys_mem.page_shift) ~write in
+  let frame =
+    if frame >= 0 then frame else map_fresh t ~vaddr ~accessed:true ~dirty:write
+  in
+  (frame lsl Phys_mem.page_shift) lor (vaddr land page_mask)
+
+let lookup t ~vaddr =
+  let frame = Page_table.access t.pt ~vpage:(vaddr lsr Phys_mem.page_shift) ~write:false in
+  if frame < 0 then -1 else (frame lsl Phys_mem.page_shift) lor (vaddr land page_mask)
+
+(* Accesses inside one page translate once and touch memory directly;
+   a page-straddling access goes byte by byte, in ascending address
+   order, so each page it touches is faulted in and marked in turn. *)
+let fits vaddr n = (vaddr land page_mask) + n <= Phys_mem.page_size
 
 let read_u8 t vaddr = Phys_mem.read_u8 t.mem (translate t ~vaddr ~write:false)
 
 let write_u8 t vaddr v =
   Phys_mem.write_u8 t.mem (translate t ~vaddr ~write:true) v
 
-let rec read_le t vaddr n =
-  if n = 0 then 0L
-  else if page_off vaddr + n <= Phys_mem.page_size then begin
-    let pa = translate t ~vaddr ~write:false in
-    let rec go i acc =
-      if i < 0 then acc
-      else
-        go (i - 1)
-          (Int64.logor (Int64.shift_left acc 8)
-             (Int64.of_int (Phys_mem.read_u8 t.mem (pa + i))))
-    in
-    go (n - 1) 0L
-  end
-  else begin
-    let lo = read_le t vaddr 1 in
-    Int64.logor lo (Int64.shift_left (read_le t (vaddr + 1) (n - 1)) 8)
-  end
+let read_bytes_le t vaddr n =
+  let v = ref 0 in
+  for i = 0 to n - 1 do
+    v := !v lor (read_u8 t (vaddr + i) lsl (8 * i))
+  done;
+  !v
 
-let rec write_le t vaddr n v =
-  if n > 0 then
-    if page_off vaddr + n <= Phys_mem.page_size then begin
-      let pa = translate t ~vaddr ~write:true in
-      for i = 0 to n - 1 do
-        Phys_mem.write_u8 t.mem (pa + i)
-          (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-      done
-    end
-    else begin
-      write_le t vaddr 1 v;
-      write_le t (vaddr + 1) (n - 1) (Int64.shift_right_logical v 8)
-    end
+let write_bytes_le t vaddr n v =
+  for i = 0 to n - 1 do
+    write_u8 t (vaddr + i) ((v lsr (8 * i)) land 0xff)
+  done
 
-let read_u16 t vaddr = Int64.to_int (read_le t vaddr 2)
-let read_u32 t vaddr = Int64.to_int32 (read_le t vaddr 4)
-let write_u16 t vaddr v = write_le t vaddr 2 (Int64.of_int (v land 0xffff))
+let read_u16 t vaddr =
+  if fits vaddr 2 then Phys_mem.read_u16 t.mem (translate t ~vaddr ~write:false)
+  else read_bytes_le t vaddr 2
 
-let write_u32 t vaddr v =
-  write_le t vaddr 4 (Int64.logand (Int64.of_int32 v) 0xFFFF_FFFFL)
+let read_i32 t vaddr =
+  if fits vaddr 4 then Phys_mem.read_i32 t.mem (translate t ~vaddr ~write:false)
+  else
+    let v = read_bytes_le t vaddr 4 in
+    (v lxor 0x8000_0000) - 0x8000_0000
+
+let read_u32 t vaddr = Int32.of_int (read_i32 t vaddr)
+
+let write_u16 t vaddr v =
+  if fits vaddr 2 then
+    Phys_mem.write_u16 t.mem (translate t ~vaddr ~write:true) v
+  else write_bytes_le t vaddr 2 v
+
+let write_i32 t vaddr v =
+  if fits vaddr 4 then
+    Phys_mem.write_i32 t.mem (translate t ~vaddr ~write:true) v
+  else write_bytes_le t vaddr 4 v
+
+let write_u32 t vaddr v = write_i32 t vaddr (Int32.to_int v)
 
 let read_bytes t ~vaddr ~len =
   let buf = Bytes.create len in
   let rec go vaddr off len =
     if len > 0 then begin
-      let chunk = min len (Phys_mem.page_size - page_off vaddr) in
+      let chunk = min len (Phys_mem.page_size - (vaddr land page_mask)) in
       let pa = translate t ~vaddr ~write:false in
       Phys_mem.blit_to_bytes t.mem ~src:pa ~dst:buf ~dst_off:off ~len:chunk;
       go (vaddr + chunk) (off + chunk) (len - chunk)
@@ -133,7 +146,7 @@ let write_bytes t ~vaddr src =
   let len = Bytes.length src in
   let rec go vaddr off len =
     if len > 0 then begin
-      let chunk = min len (Phys_mem.page_size - page_off vaddr) in
+      let chunk = min len (Phys_mem.page_size - (vaddr land page_mask)) in
       let pa = translate t ~vaddr ~write:true in
       Phys_mem.blit_of_bytes t.mem ~src ~src_off:off ~dst:pa ~len:chunk;
       go (vaddr + chunk) (off + chunk) (len - chunk)

@@ -32,10 +32,19 @@ val fault_in : t -> vaddr:int -> [ `Already | `Faulted ]
 
 exception Segfault of int
 
-(** Translate for data access, faulting in on demand. *)
+(** Translate for data access, faulting in on demand. One page-table
+    walk, which sets the page's accessed bit (and dirty bit for
+    [write]); a faulted-in page is mapped with those bits already set. *)
 val translate : t -> vaddr:int -> write:bool -> int
 
-(** Demand-paged virtual accessors (may straddle pages). *)
+(** [lookup t ~vaddr] translates without faulting in: the physical
+    address, or [-1] when the page is unmapped. Sets the accessed bit of
+    a mapped page, like a read through {!translate}. *)
+val lookup : t -> vaddr:int -> int
+
+(** Demand-paged virtual accessors (may straddle pages). An access
+    inside one page translates once; a straddling one is split into
+    bytes in ascending address order. *)
 val read_u8 : t -> int -> int
 
 val read_u16 : t -> int -> int
@@ -43,6 +52,12 @@ val read_u32 : t -> int -> int32
 val write_u8 : t -> int -> int -> unit
 val write_u16 : t -> int -> int -> unit
 val write_u32 : t -> int -> int32 -> unit
+
+(** [read_u32]/[write_u32] on OCaml ints ([read_i32] sign-extends), so
+    no [int32] is boxed. *)
+val read_i32 : t -> int -> int
+
+val write_i32 : t -> int -> int -> unit
 val read_bytes : t -> vaddr:int -> len:int -> bytes
 val write_bytes : t -> vaddr:int -> bytes -> unit
 

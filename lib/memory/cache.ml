@@ -28,74 +28,74 @@ let create ~name ~size_bytes ~line_bytes ~ways =
 let name t = t.name
 let line_bytes t = t.line_bytes
 
-type access_result = { hit : bool; fill : int option; writeback : int option }
-
-let split t addr =
-  let line_no = addr / t.line_bytes in
-  (line_no mod t.sets, line_no / t.sets)
+let hit = -1
+let miss = -2
 
 let line_addr t ~set ~tag = ((tag * t.sets) + set) * t.line_bytes
 
+(* Way of [set] holding [tag], or -1. *)
 let find_way t set tag =
   let ways = t.lines.(set) in
-  let rec go i =
-    if i >= t.ways then None
-    else if ways.(i).valid && ways.(i).tag = tag then Some i
-    else go (i + 1)
-  in
-  go 0
+  let w = ref (-1) and i = ref 0 in
+  while !w < 0 && !i < t.ways do
+    let l = ways.(!i) in
+    if l.valid && l.tag = tag then w := !i;
+    incr i
+  done;
+  !w
 
+(* First invalid way, else the least recently used one. *)
 let victim_way t set =
   let ways = t.lines.(set) in
-  let best = ref 0 in
-  (try
-     for i = 0 to t.ways - 1 do
-       if not ways.(i).valid then begin
-         best := i;
-         raise Exit
-       end;
-       if ways.(i).lru < ways.(!best).lru then best := i
-     done
-   with Exit -> ());
+  let best = ref 0 and i = ref 0 and found = ref false in
+  while (not !found) && !i < t.ways do
+    let l = ways.(!i) in
+    if not l.valid then begin
+      best := !i;
+      found := true
+    end
+    else if l.lru < ways.(!best).lru then best := !i;
+    incr i
+  done;
   !best
 
 let access t ~addr ~write =
   t.tick <- t.tick + 1;
-  let set, tag = split t addr in
-  match find_way t set tag with
-  | Some w ->
+  let line_no = addr / t.line_bytes in
+  let set = line_no mod t.sets and tag = line_no / t.sets in
+  let w = find_way t set tag in
+  if w >= 0 then begin
     let l = t.lines.(set).(w) in
     l.lru <- t.tick;
     if write then l.dirty <- true;
     t.hits <- t.hits + 1;
-    { hit = true; fill = None; writeback = None }
-  | None ->
+    hit
+  end
+  else begin
     t.misses <- t.misses + 1;
-    let w = victim_way t set in
-    let l = t.lines.(set).(w) in
-    let writeback =
+    let l = t.lines.(set).(victim_way t set) in
+    let result =
       if l.valid && l.dirty then begin
         t.writebacks <- t.writebacks + 1;
-        Some (line_addr t ~set ~tag:l.tag)
+        line_addr t ~set ~tag:l.tag
       end
-      else None
+      else miss
     in
     l.tag <- tag;
     l.valid <- true;
     l.dirty <- write;
     l.lru <- t.tick;
-    { hit = false; fill = Some (line_addr t ~set ~tag); writeback }
-
-let access_range t ~addr ~len ~write =
-  if len <= 0 then []
-  else begin
-    let first = addr / t.line_bytes and last = (addr + len - 1) / t.line_bytes in
-    let acc = ref [] in
-    for line = last downto first do
-      acc := access t ~addr:(line * t.line_bytes) ~write :: !acc
-    done;
-    !acc
+    result
   end
+
+(* The valid line holding [addr], or [no_line]. *)
+let no_line = { tag = -1; valid = false; dirty = false; lru = 0 }
+
+let find_line t addr =
+  let line_no = addr / t.line_bytes in
+  let set = line_no mod t.sets in
+  let w = find_way t set (line_no / t.sets) in
+  if w < 0 then no_line else t.lines.(set).(w)
 
 let flush_all t =
   let dirty = ref [] in
@@ -121,38 +121,33 @@ let flush_range t ~addr ~len =
     let first = addr / t.line_bytes and last = (addr + len - 1) / t.line_bytes in
     for line = last downto first do
       let la = line * t.line_bytes in
-      let set, tag = split t la in
-      match find_way t set tag with
-      | None -> ()
-      | Some w ->
-        let l = t.lines.(set).(w) in
+      let l = find_line t la in
+      if l != no_line then begin
         if l.dirty then begin
           dirty := la :: !dirty;
           t.writebacks <- t.writebacks + 1
         end;
         l.valid <- false;
         l.dirty <- false
+      end
     done;
     !dirty
   end
 
 let snoop t ~line_addr:la =
-  let set, tag = split t la in
-  match find_way t set tag with
-  | None -> `Absent
-  | Some w ->
-    let l = t.lines.(set).(w) in
+  let l = find_line t la in
+  if l == no_line then `Absent
+  else begin
     let r = if l.dirty then `Dirty else `Clean in
     if l.dirty then t.writebacks <- t.writebacks + 1;
     l.valid <- false;
     l.dirty <- false;
     r
+  end
 
 let probe t ~line_addr:la =
-  let set, tag = split t la in
-  match find_way t set tag with
-  | None -> `Absent
-  | Some w -> if t.lines.(set).(w).dirty then `Dirty else `Clean
+  let l = find_line t la in
+  if l == no_line then `Absent else if l.dirty then `Dirty else `Clean
 
 let count t pred =
   let n = ref 0 in

@@ -15,18 +15,16 @@ val create : name:string -> size_bytes:int -> line_bytes:int -> ways:int -> t
 val name : t -> string
 val line_bytes : t -> int
 
-type access_result = {
-  hit : bool;
-  fill : int option; (* line address fetched from the next level *)
-  writeback : int option; (* dirty victim line address, if evicted *)
-}
+(** [access t ~addr ~write] touches the single line containing [addr]
+    (filling it on a miss) and says what happened: {!hit}, {!miss} when
+    the fill evicted nothing dirty, or else the line address of the
+    dirty victim written back. A filled line's address is [addr] rounded
+    down to {!line_bytes}. Allocation-free; callers touching a range
+    call it once per line. *)
+val access : t -> addr:int -> write:bool -> int
 
-(** [access t ~addr ~write] touches the single line containing [addr]. *)
-val access : t -> addr:int -> write:bool -> access_result
-
-(** [access_range t ~addr ~len ~write] touches every line overlapping
-    [addr, addr+len) and returns the per-line results in address order. *)
-val access_range : t -> addr:int -> len:int -> write:bool -> access_result list
+val hit : int
+val miss : int
 
 (** [flush_all t] cleans every line: returns the addresses of dirty lines
     written back and marks the whole cache invalid (WBINVD-style, which is

@@ -71,21 +71,27 @@ let walk t ~vpage =
     t.walk_reads <- t.walk_reads + 1;
     if Pte.Ia32.present e then Mapped e else Not_present
 
-let translate ?(set_dirty = false) t ~vaddr =
-  let vpage = vaddr lsr Phys_mem.page_shift in
-  match walk t ~vpage with
-  | No_table | Not_present -> None
-  | Mapped e ->
-    let di, ti = indices vpage in
-    (match table_frame t di with
-    | None -> assert false
-    | Some tf ->
-      let e' = Pte.Ia32.with_accessed e in
-      let e' = if set_dirty then Pte.Ia32.with_dirty e' else e' in
-      if e' <> e then Phys_mem.write_u32 t.mem (leaf_addr tf ti) e');
-    Some
-      ((Pte.Ia32.frame e lsl Phys_mem.page_shift)
-      lor (vaddr land (Phys_mem.page_size - 1)))
+(* One two-level walk that also sets the accessed bit, and the dirty bit
+   for a write, as hardware does. Works on the raw entry words as ints so
+   a hit allocates nothing. *)
+let access t ~vpage ~write =
+  let di, ti = (vpage lsr 10, vpage land 0x3ff) in
+  if vpage < 0 || di >= entries_per_table then
+    invalid_arg "Page_table: vpage out of 32-bit range";
+  let d = Phys_mem.read_i32 t.mem (dir_entry_addr t di) in
+  t.walk_reads <- t.walk_reads + 1;
+  if d land 1 = 0 then -1
+  else begin
+    let la = leaf_addr ((d lsr 12) land 0xFFFFF) ti in
+    let e = Phys_mem.read_i32 t.mem la in
+    t.walk_reads <- t.walk_reads + 1;
+    if e land 1 = 0 then -1
+    else begin
+      let e' = e lor if write then 0x60 else 0x20 in
+      if e' <> e then Phys_mem.write_i32 t.mem la e';
+      (e lsr 12) land 0xFFFFF
+    end
+  end
 
 let walk_reads t = t.walk_reads
 

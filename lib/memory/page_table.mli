@@ -31,10 +31,11 @@ type walk_result =
     reads, reported in [walk_reads] for timing. *)
 val walk : t -> vpage:int -> walk_result
 
-(** [translate t ~vaddr] is the physical address for [vaddr], or [None]
-    if the page is unmapped. Sets the accessed bit as hardware would;
-    [set_dirty] also sets the dirty bit. *)
-val translate : ?set_dirty:bool -> t -> vaddr:int -> int option
+(** [access t ~vpage ~write] is a data-access walk: the frame mapped at
+    [vpage], or [-1] when unmapped. Sets the accessed bit as hardware
+    would, and for [write] the dirty bit too. Counts two walk reads;
+    allocation-free. *)
+val access : t -> vpage:int -> write:bool -> int
 
 (** Number of physical reads issued by walks so far (for timing models). *)
 val walk_reads : t -> int

@@ -28,7 +28,9 @@ val free_frame : t -> int -> unit
 (** Reads and writes take physical byte addresses. Accesses must stay
     within one frame ([read_u8] .. [read_u64] never straddle frames in the
     simulator; callers split at frame boundaries). Unallocated frames read
-    as zero and are materialised on write. *)
+    as zero and are materialised on write; writing beyond the pool is
+    rejected. None of these allocate except [read_u32]/[read_u64], which
+    box their result, and the first write to a frame. *)
 
 val read_u8 : t -> int -> int
 val read_u16 : t -> int -> int
@@ -38,6 +40,13 @@ val write_u8 : t -> int -> int -> unit
 val write_u16 : t -> int -> int -> unit
 val write_u32 : t -> int -> int32 -> unit
 val write_u64 : t -> int -> int64 -> unit
+
+(** 32-bit little-endian words as OCaml ints: [read_i32] sign-extends,
+    [write_i32] stores the low 32 bits. The interpreters use these so a
+    word access never boxes an [int32]. *)
+val read_i32 : t -> int -> int
+
+val write_i32 : t -> int -> int -> unit
 
 (** Bulk transfer helpers (may straddle frames). *)
 val blit_to_bytes : t -> src:int -> dst:bytes -> dst_off:int -> len:int -> unit

@@ -114,7 +114,8 @@ module X3k = struct
     }
 
   let valid v = Int64.logand v 1L = 1L
-  let frame v = Int64.to_int (Exochi_util.Bits.extract64 v ~hi:39 ~lo:12)
+  (* bits 39:12, written out so no int64 is boxed *)
+  let frame v = Int64.to_int (Int64.shift_right_logical v 12) land 0xFFF_FFFF
 
   let pp fmt v =
     let a = decode v in

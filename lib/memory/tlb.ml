@@ -1,8 +1,23 @@
-type 'a entry = { payload : 'a; mutable last_use : int }
+(* Entries live in a dense array (for the LRU scan) indexed by a hash
+   table (for lookup); each entry knows its slot so removal is a swap.
+   The most recently hit page and its slot short-cut the hash lookup
+   for runs of accesses to one page; any insert or removal forgets it. *)
+type 'a entry = {
+  vpage : int;
+  payload : 'a;
+  mutable last_use : int;
+  mutable slot : int;
+}
+
+module H = Hashtbl.Make (Int)
 
 type 'a t = {
   capacity : int;
-  table : (int, 'a entry) Hashtbl.t;
+  table : 'a entry H.t;
+  mutable live : 'a entry array; (* [0, count) in use; created on first insert *)
+  mutable count : int;
+  mutable mru_vpage : int; (* -1: none *)
+  mutable mru_slot : int;
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -10,43 +25,85 @@ type 'a t = {
 
 let create ~entries =
   if entries <= 0 then invalid_arg "Tlb.create";
-  { capacity = entries; table = Hashtbl.create entries; tick = 0; hits = 0; misses = 0 }
+  {
+    capacity = entries;
+    table = H.create entries;
+    live = [||];
+    count = 0;
+    mru_vpage = -1;
+    mru_slot = 0;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+  }
 
 let capacity t = t.capacity
 
-let lookup t ~vpage =
-  t.tick <- t.tick + 1;
-  match Hashtbl.find_opt t.table vpage with
-  | Some e ->
-    e.last_use <- t.tick;
-    t.hits <- t.hits + 1;
-    Some e.payload
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+let hit t e =
+  e.last_use <- t.tick;
+  t.hits <- t.hits + 1;
+  e.payload
 
+let lookup t ~vpage ~absent =
+  t.tick <- t.tick + 1;
+  if vpage = t.mru_vpage then hit t t.live.(t.mru_slot)
+  else
+    match H.find t.table vpage with
+    | e ->
+      t.mru_vpage <- vpage;
+      t.mru_slot <- e.slot;
+      hit t e
+    | exception Not_found ->
+      t.misses <- t.misses + 1;
+      absent
+
+let remove t e =
+  t.mru_vpage <- -1;
+  H.remove t.table e.vpage;
+  let last = t.live.(t.count - 1) in
+  t.live.(e.slot) <- last;
+  last.slot <- e.slot;
+  t.count <- t.count - 1
+
+(* Ticks are unique, so the least recently used entry is unique too. *)
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun vpage e acc ->
-        match acc with
-        | Some (_, best) when best <= e.last_use -> acc
-        | _ -> Some (vpage, e.last_use))
-      t.table None
-  in
-  match victim with
-  | Some (vpage, _) -> Hashtbl.remove t.table vpage
-  | None -> ()
+  if t.count > 0 then begin
+    let victim = ref t.live.(0) in
+    for i = 1 to t.count - 1 do
+      let e = t.live.(i) in
+      if e.last_use < !victim.last_use then victim := e
+    done;
+    remove t !victim
+  end
 
 let insert t ~vpage payload =
   t.tick <- t.tick + 1;
-  if (not (Hashtbl.mem t.table vpage)) && Hashtbl.length t.table >= t.capacity
-  then evict_lru t;
-  Hashtbl.replace t.table vpage { payload; last_use = t.tick }
+  t.mru_vpage <- -1;
+  let e = { vpage; payload; last_use = t.tick; slot = 0 } in
+  match H.find t.table vpage with
+  | old ->
+    e.slot <- old.slot;
+    t.live.(old.slot) <- e;
+    H.replace t.table vpage e
+  | exception Not_found ->
+    if t.count >= t.capacity then evict_lru t;
+    if Array.length t.live = 0 then t.live <- Array.make t.capacity e;
+    e.slot <- t.count;
+    t.live.(t.count) <- e;
+    t.count <- t.count + 1;
+    H.replace t.table vpage e
 
-let invalidate t ~vpage = Hashtbl.remove t.table vpage
-let flush t = Hashtbl.reset t.table
-let occupancy t = Hashtbl.length t.table
+let invalidate t ~vpage =
+  match H.find t.table vpage with
+  | e -> remove t e
+  | exception Not_found -> ()
+
+let flush t =
+  t.mru_vpage <- -1;
+  H.reset t.table;
+  t.count <- 0
+
+let occupancy t = t.count
 let hits t = t.hits
 let misses t = t.misses
 

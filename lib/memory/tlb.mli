@@ -9,8 +9,9 @@ val create : entries:int -> 'a t
 
 val capacity : 'a t -> int
 
-(** [lookup t ~vpage] returns the payload and refreshes LRU state. *)
-val lookup : 'a t -> vpage:int -> 'a option
+(** [lookup t ~vpage ~absent] returns the payload and refreshes LRU
+    state, or [absent] on a miss. A hit allocates nothing. *)
+val lookup : 'a t -> vpage:int -> absent:'a -> 'a
 
 (** [insert t ~vpage payload] fills an entry, evicting the least recently
     used one when full. Re-inserting an existing vpage replaces it. *)
@@ -24,7 +25,7 @@ val flush : 'a t -> unit
 
 val occupancy : 'a t -> int
 
-(** Hit/miss counters ([lookup] that returns [Some]/[None]). *)
+(** Hit/miss counters of [lookup]. *)
 val hits : 'a t -> int
 
 val misses : 'a t -> int

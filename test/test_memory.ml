@@ -204,8 +204,8 @@ let test_pt_translate_sets_bits () =
   let m = Phys_mem.create ~frames:64 in
   let pt = Page_table.create m in
   Page_table.map pt ~vpage:2 ~pte:(mk_pte 3);
-  let pa = Page_table.translate ~set_dirty:true pt ~vaddr:0x2ABC in
-  check_int "translation" ((3 * 4096) + 0xABC) (Option.get pa);
+  check_int "translation" 3 (Page_table.access pt ~vpage:2 ~write:true);
+  check_int "unmapped" (-1) (Page_table.access pt ~vpage:9 ~write:false);
   match Page_table.walk pt ~vpage:2 with
   | Page_table.Mapped e ->
     let a = Pte.Ia32.decode e in
@@ -233,9 +233,9 @@ let test_pt_tables_live_in_phys_mem () =
 
 let test_tlb_hit_miss () =
   let t = Tlb.create ~entries:4 in
-  check_bool "miss" true (Tlb.lookup t ~vpage:1 = None);
+  check_bool "miss" true (Tlb.lookup t ~vpage:1 ~absent:"" = "");
   Tlb.insert t ~vpage:1 "a";
-  check_bool "hit" true (Tlb.lookup t ~vpage:1 = Some "a");
+  check_bool "hit" true (Tlb.lookup t ~vpage:1 ~absent:"" = "a");
   check_int "hits" 1 (Tlb.hits t);
   check_int "misses" 1 (Tlb.misses t)
 
@@ -243,11 +243,11 @@ let test_tlb_lru_eviction () =
   let t = Tlb.create ~entries:2 in
   Tlb.insert t ~vpage:1 1;
   Tlb.insert t ~vpage:2 2;
-  ignore (Tlb.lookup t ~vpage:1);
+  ignore (Tlb.lookup t ~vpage:1 ~absent:0);
   (* 2 is now LRU *)
   Tlb.insert t ~vpage:3 3;
-  check_bool "1 kept" true (Tlb.lookup t ~vpage:1 = Some 1);
-  check_bool "2 evicted" true (Tlb.lookup t ~vpage:2 = None);
+  check_bool "1 kept" true (Tlb.lookup t ~vpage:1 ~absent:0 = 1);
+  check_bool "2 evicted" true (Tlb.lookup t ~vpage:2 ~absent:0 = 0);
   check_int "occupancy bounded" 2 (Tlb.occupancy t)
 
 let test_tlb_invalidate_flush () =
@@ -255,18 +255,95 @@ let test_tlb_invalidate_flush () =
   Tlb.insert t ~vpage:1 1;
   Tlb.insert t ~vpage:2 2;
   Tlb.invalidate t ~vpage:1;
-  check_bool "invalidated" true (Tlb.lookup t ~vpage:1 = None);
+  check_bool "invalidated" true (Tlb.lookup t ~vpage:1 ~absent:0 = 0);
   Tlb.flush t;
   check_int "flushed" 0 (Tlb.occupancy t)
+
+(* The TLB against a naive LRU model: an association list of
+   (vpage, payload, last use) where a full insert evicts the entry with
+   the oldest use. Lookups, occupancy and counters must agree after
+   every operation. *)
+type tlb_op = Insert of int * int | Lookup of int | Invalidate of int
+
+let prop_tlb_matches_lru_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun v p -> Insert (v, p)) (int_bound 9) (int_bound 1000));
+          (5, map (fun v -> Lookup v) (int_bound 9));
+          (1, map (fun v -> Invalidate v) (int_bound 9));
+        ])
+  in
+  let print = function
+    | Insert (v, p) -> Printf.sprintf "insert %d %d" v p
+    | Lookup v -> Printf.sprintf "lookup %d" v
+    | Invalidate v -> Printf.sprintf "invalidate %d" v
+  in
+  QCheck.Test.make ~name:"tlb matches naive LRU model" ~count:300
+    QCheck.(
+      pair (int_range 1 5)
+        (make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_bound 60) op)))
+    (fun (cap, ops) ->
+      let t = Tlb.create ~entries:cap in
+      let model = ref [] and tick = ref 0 and hits = ref 0 and misses = ref 0 in
+      List.for_all
+        (fun o ->
+          incr tick;
+          let agrees =
+            match o with
+            | Insert (v, p) ->
+              Tlb.insert t ~vpage:v p;
+              let rest = List.filter (fun (v', _, _) -> v' <> v) !model in
+              let rest =
+                if List.length rest = List.length !model && List.length rest >= cap
+                then begin
+                  let oldest =
+                    List.fold_left
+                      (fun acc (v', _, u) ->
+                        match acc with
+                        | Some (_, u') when u' <= u -> acc
+                        | _ -> Some (v', u))
+                      None rest
+                  in
+                  match oldest with
+                  | Some (victim, _) -> List.filter (fun (v', _, _) -> v' <> victim) rest
+                  | None -> rest
+                end
+                else rest
+              in
+              model := (v, p, !tick) :: rest;
+              true
+            | Lookup v -> (
+              let got = Tlb.lookup t ~vpage:v ~absent:(-1) in
+              match List.find_opt (fun (v', _, _) -> v' = v) !model with
+              | Some (_, p, _) ->
+                incr hits;
+                model :=
+                  (v, p, !tick) :: List.filter (fun (v', _, _) -> v' <> v) !model;
+                got = p
+              | None ->
+                incr misses;
+                got = -1)
+            | Invalidate v ->
+              Tlb.invalidate t ~vpage:v;
+              model := List.filter (fun (v', _, _) -> v' <> v) !model;
+              true
+          in
+          agrees
+          && Tlb.occupancy t = List.length !model
+          && Tlb.hits t = !hits
+          && Tlb.misses t = !misses)
+        ops)
 
 (* ---- Cache ---- *)
 
 let test_cache_hit_after_fill () =
   let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:64 ~ways:2 in
   let r1 = Cache.access c ~addr:0 ~write:false in
-  check_bool "first is miss" false r1.Cache.hit;
+  check_bool "first is a clean miss" true (r1 = Cache.miss);
   let r2 = Cache.access c ~addr:32 ~write:false in
-  check_bool "same line hits" true r2.Cache.hit
+  check_bool "same line hits" true (r2 = Cache.hit)
 
 let test_cache_writeback_on_eviction () =
   (* 2-way, 8 sets: three lines mapping to set 0 force an eviction *)
@@ -275,7 +352,7 @@ let test_cache_writeback_on_eviction () =
   ignore (Cache.access c ~addr:0 ~write:true);
   ignore (Cache.access c ~addr:set_stride ~write:false);
   let r = Cache.access c ~addr:(2 * set_stride) ~write:false in
-  check_bool "dirty victim written back" true (r.Cache.writeback = Some 0)
+  check_int "dirty victim written back" 0 r
 
 let test_cache_flush_all () =
   let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:64 ~ways:2 in
@@ -301,10 +378,19 @@ let test_cache_snoop_and_probe () =
   check_bool "snoop dirty" true (Cache.snoop c ~line_addr:0 = `Dirty);
   check_bool "snoop invalidates" true (Cache.probe c ~line_addr:0 = `Absent)
 
+(* An 8-byte access at 60 covers two lines: touching each line once
+   misses twice, and both lines then hit. *)
 let test_cache_access_range_spanning () =
   let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:64 ~ways:2 in
-  let rs = Cache.access_range c ~addr:60 ~len:8 ~write:false in
-  check_int "spans two lines" 2 (List.length rs)
+  let lb = Cache.line_bytes c in
+  let first = 60 / lb and last = (60 + 8 - 1) / lb in
+  check_int "spans two lines" 2 (last - first + 1);
+  for line = first to last do
+    check_bool "line misses" true (Cache.access c ~addr:(line * lb) ~write:false = Cache.miss)
+  done;
+  check_bool "low byte hits" true (Cache.access c ~addr:60 ~write:false = Cache.hit);
+  check_bool "high byte hits" true (Cache.access c ~addr:67 ~write:false = Cache.hit);
+  check_int "misses" 2 (Cache.misses c)
 
 (* ---- Bus ---- *)
 
@@ -456,6 +542,9 @@ let () =
           Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "lru eviction" `Quick test_tlb_lru_eviction;
           Alcotest.test_case "invalidate/flush" `Quick test_tlb_invalidate_flush;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20071 |])
+            prop_tlb_matches_lru_model;
         ] );
       ( "cache",
         [
