@@ -366,7 +366,7 @@ let decode_src ~width = function
   | Sreg (Eu | Tid) -> Const 0
   | Sreg (Param n) -> Param n
   | Flag f -> Flag_bits f
-  | Surf _ | Surf2d _ | Remote _ -> No_src "read_lanes: memory operand"
+  | Surf _ | Surf2d _ | Remote _ -> No_src "memory operand where lanes are expected"
 
 let decode_dst ~width = function
   | Some ((Reg _ | Range _) as op) -> (
@@ -778,8 +778,8 @@ let sem_release t sem =
 
 (* The sampler's functional reads translate through the page table
    (setting the accessed bit; an unmapped page reads as 0). Within one
-   instruction no mapping can change, so one page is memoised; [memo]
-   resets it. *)
+   instruction no mapping can change, so one page is memoised; each
+   [sample] starts with [memo_reset]. *)
 let memo_reset t = t.memo_vpage <- -1
 
 let texel_paddr t va =

@@ -455,7 +455,7 @@ let instr_uses (du : X3k_flow.def_use) =
     ISet.of_list du.X3k_flow.flag_uses )
 
 (* An unpredicated [cmp] overwrites its destination flag in full (all
-   16 mask bits, whatever the cmp width — see [Gpu.exec_instr]), so it
+   16 mask bits, whatever the cmp width — see [Gpu.exec]), so it
    kills the flag for liveness. Register writes are partial (lanes
    0..width-1 only), so registers never have kills. *)
 let flag_kill i =

@@ -380,7 +380,7 @@ let test_cache_snoop_and_probe () =
 
 (* An 8-byte access at 60 covers two lines: touching each line once
    misses twice, and both lines then hit. *)
-let test_cache_access_range_spanning () =
+let test_cache_range_spanning () =
   let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:64 ~ways:2 in
   let lb = Cache.line_bytes c in
   let first = 60 / lb and last = (60 + 8 - 1) / lb in
@@ -553,7 +553,7 @@ let () =
           Alcotest.test_case "flush all" `Quick test_cache_flush_all;
           Alcotest.test_case "flush range" `Quick test_cache_flush_range;
           Alcotest.test_case "snoop/probe" `Quick test_cache_snoop_and_probe;
-          Alcotest.test_case "range spanning" `Quick test_cache_access_range_spanning;
+          Alcotest.test_case "range spanning" `Quick test_cache_range_spanning;
         ] );
       ( "bus",
         [
