@@ -214,6 +214,7 @@ type t = {
   mutable replay_at : int;
   mutable blocked_on : int;
   (* per-line cache outcomes of one timed access *)
+  line_shift : int; (* log2 of the cache line size *)
   line_res : int array;
   (* one-page translation memo of the sampler's functional reads *)
   mutable memo_vpage : int;
@@ -300,6 +301,7 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
     sampler_busy = 0;
     replay_at = 0;
     blocked_on = 0;
+    line_shift = Bits.log2 config.line_bytes;
     line_res = Array.make ((max_access_bytes / config.line_bytes) + 2) 0;
     memo_vpage = -1;
     memo_base = -1;
@@ -696,10 +698,10 @@ let translate_all t eu ctx ~width =
 let timed_access t eu ~paddr ~bytes ~write =
   let extra = t.hooks.mem_delay ~paddr ~bytes ~write ~now_ps:eu.now in
   let start = eu.now + extra in
-  let lb = Cache.line_bytes t.cache in
-  let first = paddr / lb and last = (paddr + bytes - 1) / lb in
+  let lb = Cache.line_bytes t.cache and sh = t.line_shift in
+  let first = paddr lsr sh and last = (paddr + bytes - 1) lsr sh in
   for line = last downto first do
-    t.line_res.(line - first) <- Cache.access t.cache ~addr:(line * lb) ~write
+    t.line_res.(line - first) <- Cache.access t.cache ~addr:(line lsl sh) ~write
   done;
   let hit_lat = 20 * t.cycle in
   let acc = ref (start + hit_lat) in

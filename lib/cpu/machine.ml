@@ -45,6 +45,7 @@ type t = {
   l2 : Cache.t;
   tlb : tlb_entry Tlb.t;
   mutable cur : tlb_entry; (* entry of the latest translation *)
+  line_shift : int; (* log2 of the cache line size *)
   l1_results : int array; (* per-line L1 outcomes of one access *)
   src4 : int array; (* second source of an SSE operation *)
   regs : int array; (* 8 GPRs, sign-extended 32-bit values *)
@@ -76,6 +77,7 @@ let create ?(config = default_config) ~aspace ~bus () =
         ~line_bytes:config.line_bytes ~ways:config.l2_ways;
     tlb = Tlb.create ~entries:config.tlb_entries;
     cur = no_entry;
+    line_shift = Bits.log2 config.line_bytes;
     l1_results = Array.make ((max_access_bytes / config.line_bytes) + 2) 0;
     src4 = Array.make 4 0;
     regs = Array.make 8 0;
@@ -202,7 +204,7 @@ let l1_miss t ~line_addr ~writeback =
     (* multi-stream next-line hardware prefetch: a miss that continues
        one of the tracked streams pays only the transfer time; a random
        miss pays full DRAM latency and claims a stream slot round-robin *)
-    let this_line = line_addr / Cache.line_bytes t.l2 in
+    let this_line = line_addr lsr t.line_shift in
     let sequential = ref false in
     for i = 0 to Array.length t.prefetch_streams - 1 do
       let last = t.prefetch_streams.(i) in
@@ -226,15 +228,15 @@ let l1_miss t ~line_addr ~writeback =
    is touched first, highest address first, then the outcomes are
    charged in address order. *)
 let cache_access t ~paddr ~size ~write =
-  let lb = Cache.line_bytes t.l1 in
-  let first = paddr / lb and last = (paddr + size - 1) / lb in
+  let sh = t.line_shift in
+  let first = paddr lsr sh and last = (paddr + size - 1) lsr sh in
   for line = last downto first do
-    t.l1_results.(line - first) <- Cache.access t.l1 ~addr:(line * lb) ~write
+    t.l1_results.(line - first) <- Cache.access t.l1 ~addr:(line lsl sh) ~write
   done;
   for line = first to last do
     let r = t.l1_results.(line - first) in
     if r = Cache.hit then cost t c_l1_hit
-    else l1_miss t ~line_addr:(line * lb) ~writeback:r
+    else l1_miss t ~line_addr:(line lsl sh) ~writeback:r
   done
 
 let read_scalar t ~paddr ~size =

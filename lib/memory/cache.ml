@@ -5,6 +5,8 @@ type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mut
 type t = {
   name : string;
   line_bytes : int;
+  line_shift : int; (* log2 line_bytes *)
+  set_shift : int; (* log2 sets *)
   sets : int;
   ways : int;
   lines : line array array; (* [set].[way] *)
@@ -23,7 +25,19 @@ let create ~name ~size_bytes ~line_bytes ~ways =
     Array.init sets (fun _ ->
         Array.init ways (fun _ -> { tag = 0; valid = false; dirty = false; lru = 0 }))
   in
-  { name; line_bytes; sets; ways; lines; tick = 0; hits = 0; misses = 0; writebacks = 0 }
+  {
+    name;
+    line_bytes;
+    line_shift = Bits.log2 line_bytes;
+    set_shift = Bits.log2 sets;
+    sets;
+    ways;
+    lines;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    writebacks = 0;
+  }
 
 let name t = t.name
 let line_bytes t = t.line_bytes
@@ -61,8 +75,10 @@ let victim_way t set =
 
 let access t ~addr ~write =
   t.tick <- t.tick + 1;
-  let line_no = addr / t.line_bytes in
-  let set = line_no mod t.sets and tag = line_no / t.sets in
+  (* sizes are powers of two and addresses non-negative, so shifts and
+     masks split the address *)
+  let line_no = addr lsr t.line_shift in
+  let set = line_no land (t.sets - 1) and tag = line_no lsr t.set_shift in
   let w = find_way t set tag in
   if w >= 0 then begin
     let l = t.lines.(set).(w) in
@@ -92,9 +108,9 @@ let access t ~addr ~write =
 let no_line = { tag = -1; valid = false; dirty = false; lru = 0 }
 
 let find_line t addr =
-  let line_no = addr / t.line_bytes in
-  let set = line_no mod t.sets in
-  let w = find_way t set (line_no / t.sets) in
+  let line_no = addr lsr t.line_shift in
+  let set = line_no land (t.sets - 1) in
+  let w = find_way t set (line_no lsr t.set_shift) in
   if w < 0 then no_line else t.lines.(set).(w)
 
 let flush_all t =
