@@ -6,13 +6,16 @@ let create ~width ~height =
   if width <= 0 || height <= 0 then invalid_arg "Image.create";
   { width; height; data = Array.make (width * height) 0 }
 
+(* [f] is called in row-major order: generators draw from a PRNG. *)
 let init ~width ~height f =
   if width <= 0 || height <= 0 then invalid_arg "Image.init";
-  {
-    width;
-    height;
-    data = Array.init (width * height) (fun i -> f ~x:(i mod width) ~y:(i / width));
-  }
+  let data = Array.make (width * height) 0 in
+  for y = 0 to height - 1 do
+    for x = 0 to width - 1 do
+      data.((y * width) + x) <- f ~x ~y
+    done
+  done;
+  { width; height; data }
 
 let get t ~x ~y =
   if x < 0 || x >= t.width || y < 0 || y >= t.height then
@@ -105,26 +108,62 @@ let psnr a b =
 
 open Exochi_memory
 
+(* A linear surface's rows are contiguous, so each row moves as one
+   block: that touches the same pages, in the same ascending order, as
+   moving its samples one by one, which tiled surfaces still do. *)
 let store aspace t ~surface =
   if t.width <> surface.Surface.width || t.height <> surface.Surface.height
   then invalid_arg "Image.store: shape mismatch with surface";
-  for y = 0 to t.height - 1 do
-    for x = 0 to t.width - 1 do
-      let va = Surface.element_addr surface ~x ~y in
-      let v = t.data.((y * t.width) + x) in
-      match surface.Surface.bpp with
-      | 1 -> Address_space.write_u8 aspace va (v land 0xff)
-      | 2 -> Address_space.write_u16 aspace va (v land 0xffff)
-      | _ -> Address_space.write_u32 aspace va (Int32.of_int v)
+  let bpp = surface.Surface.bpp in
+  match surface.Surface.tiling with
+  | Surface.Linear ->
+    let row = Bytes.create (t.width * bpp) in
+    for y = 0 to t.height - 1 do
+      for x = 0 to t.width - 1 do
+        let v = t.data.((y * t.width) + x) in
+        match bpp with
+        | 1 -> Bytes.set_uint8 row x (v land 0xff)
+        | 2 -> Bytes.set_uint16_le row (2 * x) (v land 0xffff)
+        | _ -> Bytes.set_int32_le row (4 * x) (Int32.of_int v)
+      done;
+      Address_space.write_bytes aspace ~vaddr:(Surface.row_addr surface ~y) row
     done
-  done
+  | Surface.Tiled_x | Surface.Tiled_y ->
+    for y = 0 to t.height - 1 do
+      for x = 0 to t.width - 1 do
+        let va = Surface.element_addr surface ~x ~y in
+        let v = t.data.((y * t.width) + x) in
+        match bpp with
+        | 1 -> Address_space.write_u8 aspace va (v land 0xff)
+        | 2 -> Address_space.write_u16 aspace va (v land 0xffff)
+        | _ -> Address_space.write_u32 aspace va (Int32.of_int v)
+      done
+    done
 
 let load aspace ~surface =
-  init ~width:surface.Surface.width ~height:surface.Surface.height
-    (fun ~x ~y ->
-      let va = Surface.element_addr surface ~x ~y in
-      match surface.Surface.bpp with
-      | 1 -> Address_space.read_u8 aspace va
-      | 2 ->
-        Bits.sign_extend (Address_space.read_u16 aspace va) ~bits:16
-      | _ -> Bits.sign_extend (Int32.to_int (Address_space.read_u32 aspace va) land 0xFFFFFFFF) ~bits:32)
+  let width = surface.Surface.width and height = surface.Surface.height in
+  let bpp = surface.Surface.bpp in
+  match surface.Surface.tiling with
+  | Surface.Linear ->
+    let data = Array.make (width * height) 0 in
+    for y = 0 to height - 1 do
+      let row =
+        Address_space.read_bytes aspace ~vaddr:(Surface.row_addr surface ~y)
+          ~len:(width * bpp)
+      in
+      for x = 0 to width - 1 do
+        data.((y * width) + x) <-
+          (match bpp with
+          | 1 -> Bytes.get_uint8 row x
+          | 2 -> Bytes.get_int16_le row (2 * x)
+          | _ -> Int32.to_int (Bytes.get_int32_le row (4 * x)))
+      done
+    done;
+    { width; height; data }
+  | Surface.Tiled_x | Surface.Tiled_y ->
+    init ~width ~height (fun ~x ~y ->
+        let va = Surface.element_addr surface ~x ~y in
+        match bpp with
+        | 1 -> Address_space.read_u8 aspace va
+        | 2 -> Bits.sign_extend (Address_space.read_u16 aspace va) ~bits:16
+        | _ -> Int32.to_int (Address_space.read_u32 aspace va))

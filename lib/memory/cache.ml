@@ -1,7 +1,8 @@
 open Exochi_util
 
-type line = { mutable tag : int; mutable valid : bool; mutable dirty : bool; mutable lru : int }
-
+(* Line state lives in flat arrays indexed by [set * ways + way], so a
+   lookup scans one contiguous run of tags. An invalid line has tag -1:
+   addresses are non-negative, so every real tag is too. *)
 type t = {
   name : string;
   line_bytes : int;
@@ -9,7 +10,13 @@ type t = {
   set_shift : int; (* log2 sets *)
   sets : int;
   ways : int;
-  lines : line array array; (* [set].[way] *)
+  tags : int array;
+  dirty : bool array;
+  lru : int array; (* tick of the last touch *)
+  mutable last_line : int; (* line number of the latest lookup that found a slot *)
+  mutable last_slot : int;
+  mutable absent_line : int; (* line number of the latest lookup that found none *)
+  mutable absent_tick : int; (* [tick] at that lookup *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -21,10 +28,7 @@ let create ~name ~size_bytes ~line_bytes ~ways =
   then invalid_arg "Cache.create: sizes must be powers of two";
   let sets = size_bytes / (line_bytes * ways) in
   if sets < 1 then invalid_arg "Cache.create: size too small";
-  let lines =
-    Array.init sets (fun _ ->
-        Array.init ways (fun _ -> { tag = 0; valid = false; dirty = false; lru = 0 }))
-  in
+  let n = sets * ways in
   {
     name;
     line_bytes;
@@ -32,7 +36,13 @@ let create ~name ~size_bytes ~line_bytes ~ways =
     set_shift = Bits.log2 sets;
     sets;
     ways;
-    lines;
+    tags = Array.make n (-1);
+    dirty = Array.make n false;
+    lru = Array.make n 0;
+    last_line = -1;
+    last_slot = 0;
+    absent_line = -1;
+    absent_tick = 0;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -45,88 +55,98 @@ let line_bytes t = t.line_bytes
 let hit = -1
 let miss = -2
 
-let line_addr t ~set ~tag = ((tag * t.sets) + set) * t.line_bytes
+(* Address of the line in slot [i]. *)
+let line_addr t i = ((t.tags.(i) lsl t.set_shift) lor (i / t.ways)) lsl t.line_shift
 
-(* Way of [set] holding [tag], or -1. *)
-let find_way t set tag =
-  let ways = t.lines.(set) in
-  let w = ref (-1) and i = ref 0 in
-  while !w < 0 && !i < t.ways do
-    let l = ways.(!i) in
-    if l.valid && l.tag = tag then w := !i;
-    incr i
-  done;
-  !w
-
-(* First invalid way, else the least recently used one. *)
-let victim_way t set =
-  let ways = t.lines.(set) in
-  let best = ref 0 and i = ref 0 and found = ref false in
-  while (not !found) && !i < t.ways do
-    let l = ways.(!i) in
-    if not l.valid then begin
-      best := !i;
-      found := true
+(* Slot of the valid line holding [addr], or -1. Sizes are powers of two
+   and addresses non-negative, so shifts and masks split the address.
+   Runs of lookups of one line skip the scan: the slot found last still
+   holds that line exactly when its tag is unchanged, and a line found
+   absent stays absent until the next fill, which only [access] does
+   (after advancing [tick]). *)
+let find t addr =
+  let line_no = addr lsr t.line_shift in
+  let tag = line_no lsr t.set_shift in
+  if line_no = t.last_line && t.tags.(t.last_slot) = tag then t.last_slot
+  else if line_no = t.absent_line && t.tick = t.absent_tick then -1
+  else begin
+    let base = (line_no land (t.sets - 1)) * t.ways in
+    let i = ref base and last = base + t.ways in
+    while !i < last && t.tags.(!i) <> tag do
+      incr i
+    done;
+    if !i < last then begin
+      t.last_line <- line_no;
+      t.last_slot <- !i;
+      !i
     end
-    else if l.lru < ways.(!best).lru then best := !i;
-    incr i
+    else begin
+      t.absent_line <- line_no;
+      t.absent_tick <- t.tick;
+      -1
+    end
+  end
+
+(* First invalid slot of the set starting at [base], else the least
+   recently used one. *)
+let victim t base =
+  let best = ref base and i = ref base and last = base + t.ways in
+  while !i < last do
+    if t.tags.(!i) < 0 then begin
+      best := !i;
+      i := last
+    end
+    else begin
+      if t.lru.(!i) < t.lru.(!best) then best := !i;
+      incr i
+    end
   done;
   !best
 
 let access t ~addr ~write =
   t.tick <- t.tick + 1;
-  (* sizes are powers of two and addresses non-negative, so shifts and
-     masks split the address *)
-  let line_no = addr lsr t.line_shift in
-  let set = line_no land (t.sets - 1) and tag = line_no lsr t.set_shift in
-  let w = find_way t set tag in
-  if w >= 0 then begin
-    let l = t.lines.(set).(w) in
-    l.lru <- t.tick;
-    if write then l.dirty <- true;
+  let i = find t addr in
+  if i >= 0 then begin
+    t.lru.(i) <- t.tick;
+    if write then t.dirty.(i) <- true;
     t.hits <- t.hits + 1;
     hit
   end
   else begin
     t.misses <- t.misses + 1;
-    let l = t.lines.(set).(victim_way t set) in
+    let line_no = addr lsr t.line_shift in
+    let v = victim t ((line_no land (t.sets - 1)) * t.ways) in
     let result =
-      if l.valid && l.dirty then begin
+      if t.tags.(v) >= 0 && t.dirty.(v) then begin
         t.writebacks <- t.writebacks + 1;
-        line_addr t ~set ~tag:l.tag
+        line_addr t v
       end
       else miss
     in
-    l.tag <- tag;
-    l.valid <- true;
-    l.dirty <- write;
-    l.lru <- t.tick;
+    t.tags.(v) <- line_no lsr t.set_shift;
+    t.dirty.(v) <- write;
+    t.lru.(v) <- t.tick;
+    t.last_line <- line_no;
+    t.last_slot <- v;
+    t.absent_line <- -1;
     result
   end
 
-(* The valid line holding [addr], or [no_line]. *)
-let no_line = { tag = -1; valid = false; dirty = false; lru = 0 }
-
-let find_line t addr =
-  let line_no = addr lsr t.line_shift in
-  let set = line_no land (t.sets - 1) in
-  let w = find_way t set (line_no lsr t.set_shift) in
-  if w < 0 then no_line else t.lines.(set).(w)
+(* Invalidate slot [i]; true if it was dirty (and so written back). *)
+let clean t i =
+  let was_dirty = t.dirty.(i) in
+  if was_dirty then t.writebacks <- t.writebacks + 1;
+  t.tags.(i) <- -1;
+  t.dirty.(i) <- false;
+  was_dirty
 
 let flush_all t =
   let dirty = ref [] in
-  for set = t.sets - 1 downto 0 do
-    for w = t.ways - 1 downto 0 do
-      let l = t.lines.(set).(w) in
-      if l.valid then begin
-        if l.dirty then begin
-          dirty := line_addr t ~set ~tag:l.tag :: !dirty;
-          t.writebacks <- t.writebacks + 1
-        end;
-        l.valid <- false;
-        l.dirty <- false
-      end
-    done
+  for i = Array.length t.tags - 1 downto 0 do
+    if t.tags.(i) >= 0 then begin
+      let la = line_addr t i in
+      if clean t i then dirty := la :: !dirty
+    end
   done;
   !dirty
 
@@ -134,44 +154,32 @@ let flush_range t ~addr ~len =
   if len <= 0 then []
   else begin
     let dirty = ref [] in
-    let first = addr / t.line_bytes and last = (addr + len - 1) / t.line_bytes in
+    let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
     for line = last downto first do
-      let la = line * t.line_bytes in
-      let l = find_line t la in
-      if l != no_line then begin
-        if l.dirty then begin
-          dirty := la :: !dirty;
-          t.writebacks <- t.writebacks + 1
-        end;
-        l.valid <- false;
-        l.dirty <- false
-      end
+      let la = line lsl t.line_shift in
+      let i = find t la in
+      if i >= 0 && clean t i then dirty := la :: !dirty
     done;
     !dirty
   end
 
 let snoop t ~line_addr:la =
-  let l = find_line t la in
-  if l == no_line then `Absent
-  else begin
-    let r = if l.dirty then `Dirty else `Clean in
-    if l.dirty then t.writebacks <- t.writebacks + 1;
-    l.valid <- false;
-    l.dirty <- false;
-    r
-  end
+  let i = find t la in
+  if i < 0 then `Absent else if clean t i then `Dirty else `Clean
 
 let probe t ~line_addr:la =
-  let l = find_line t la in
-  if l == no_line then `Absent else if l.dirty then `Dirty else `Clean
+  let i = find t la in
+  if i < 0 then `Absent else if t.dirty.(i) then `Dirty else `Clean
 
 let count t pred =
   let n = ref 0 in
-  Array.iter (Array.iter (fun l -> if pred l then incr n)) t.lines;
+  for i = 0 to Array.length t.tags - 1 do
+    if t.tags.(i) >= 0 && pred i then incr n
+  done;
   !n
 
-let dirty_line_count t = count t (fun l -> l.valid && l.dirty)
-let valid_line_count t = count t (fun l -> l.valid)
+let dirty_line_count t = count t (fun i -> t.dirty.(i))
+let valid_line_count t = count t (fun _ -> true)
 let hits t = t.hits
 let misses t = t.misses
 let writebacks t = t.writebacks

@@ -1,7 +1,9 @@
 (* Entries live in a dense array (for the LRU scan) indexed by a hash
    table (for lookup); each entry knows its slot so removal is a swap.
-   The most recently hit page and its slot short-cut the hash lookup
-   for runs of accesses to one page; any insert or removal forgets it. *)
+   A small direct-mapped memo of recent slots, indexed by the low page
+   bits, short-cuts the hash lookup. A memo slot is only a hint: it is
+   used when the live entry there has the page asked for, and since
+   pages are unique among live entries that entry is the page's. *)
 type 'a entry = {
   vpage : int;
   payload : 'a;
@@ -16,12 +18,13 @@ type 'a t = {
   table : 'a entry H.t;
   mutable live : 'a entry array; (* [0, count) in use; created on first insert *)
   mutable count : int;
-  mutable mru_vpage : int; (* -1: none *)
-  mutable mru_slot : int;
+  memo : int array; (* vpage land memo_mask -> slot hint *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
 }
+
+let memo_mask = 15
 
 let create ~entries =
   if entries <= 0 then invalid_arg "Tlb.create";
@@ -30,8 +33,7 @@ let create ~entries =
     table = H.create entries;
     live = [||];
     count = 0;
-    mru_vpage = -1;
-    mru_slot = 0;
+    memo = Array.make (memo_mask + 1) 0;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -46,19 +48,19 @@ let hit t e =
 
 let lookup t ~vpage ~absent =
   t.tick <- t.tick + 1;
-  if vpage = t.mru_vpage then hit t t.live.(t.mru_slot)
+  let m = vpage land memo_mask in
+  let s = t.memo.(m) in
+  if s < t.count && t.live.(s).vpage = vpage then hit t t.live.(s)
   else
     match H.find t.table vpage with
     | e ->
-      t.mru_vpage <- vpage;
-      t.mru_slot <- e.slot;
+      t.memo.(m) <- e.slot;
       hit t e
     | exception Not_found ->
       t.misses <- t.misses + 1;
       absent
 
 let remove t e =
-  t.mru_vpage <- -1;
   H.remove t.table e.vpage;
   let last = t.live.(t.count - 1) in
   t.live.(e.slot) <- last;
@@ -78,7 +80,6 @@ let evict_lru t =
 
 let insert t ~vpage payload =
   t.tick <- t.tick + 1;
-  t.mru_vpage <- -1;
   let e = { vpage; payload; last_use = t.tick; slot = 0 } in
   match H.find t.table vpage with
   | old ->
@@ -99,7 +100,6 @@ let invalidate t ~vpage =
   | exception Not_found -> ()
 
 let flush t =
-  t.mru_vpage <- -1;
   H.reset t.table;
   t.count <- 0
 

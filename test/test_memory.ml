@@ -266,13 +266,16 @@ let test_tlb_invalidate_flush () =
 type tlb_op = Insert of int * int | Lookup of int | Invalidate of int
 
 let prop_tlb_matches_lru_model =
+  (* small pages, plus multiples of 16 that share the TLB's lookup-memo
+     slots with them *)
+  let vpage = QCheck.Gen.(oneof [ int_bound 9; map (fun k -> 16 * k) (int_bound 4) ]) in
   let op =
     QCheck.Gen.(
       frequency
         [
-          (4, map2 (fun v p -> Insert (v, p)) (int_bound 9) (int_bound 1000));
-          (5, map (fun v -> Lookup v) (int_bound 9));
-          (1, map (fun v -> Invalidate v) (int_bound 9));
+          (4, map2 (fun v p -> Insert (v, p)) vpage (int_bound 1000));
+          (5, map (fun v -> Lookup v) vpage);
+          (1, map (fun v -> Invalidate v) vpage);
         ])
   in
   let print = function
@@ -391,6 +394,139 @@ let test_cache_range_spanning () =
   check_bool "low byte hits" true (Cache.access c ~addr:60 ~write:false = Cache.hit);
   check_bool "high byte hits" true (Cache.access c ~addr:67 ~write:false = Cache.hit);
   check_int "misses" 2 (Cache.misses c)
+
+(* The cache against a naive model: per set, a list of (tag, dirty,
+   last use) holding at most [ways] lines, where a fill into a full set
+   evicts the line with the oldest use. Every result, the counters and
+   the line counts must agree after each operation; repeated addresses
+   exercise the cache's lookup memos. *)
+type cache_op =
+  | Access of int * bool
+  | Snoop of int
+  | Probe of int
+  | Flush_range of int * int
+  | Flush_all
+
+let prop_cache_matches_model =
+  let line_bytes = 16 and ways = 2 and sets = 4 in
+  let addr = QCheck.Gen.(oneof [ int_bound 31; int_bound 511 ]) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map2 (fun a w -> Access (a, w)) addr bool);
+          (3, map (fun a -> Snoop a) addr);
+          (2, map (fun a -> Probe a) addr);
+          (1, map2 (fun a l -> Flush_range (a, l)) addr (int_bound 80));
+          (1, return Flush_all);
+        ])
+  in
+  let print = function
+    | Access (a, w) -> Printf.sprintf "access %d %b" a w
+    | Snoop a -> Printf.sprintf "snoop %d" a
+    | Probe a -> Printf.sprintf "probe %d" a
+    | Flush_range (a, l) -> Printf.sprintf "flush_range %d %d" a l
+    | Flush_all -> "flush_all"
+  in
+  QCheck.Test.make ~name:"cache matches naive model" ~count:300
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_bound 80) op))
+    (fun ops ->
+      let c =
+        Cache.create ~name:"m" ~size_bytes:(line_bytes * ways * sets) ~line_bytes ~ways
+      in
+      let model = Array.make sets [] in
+      let tick = ref 0 and hits = ref 0 and misses = ref 0 and wbs = ref 0 in
+      let split a = (a / line_bytes mod sets, a / line_bytes / sets) in
+      let line_addr set tag = ((tag * sets) + set) * line_bytes in
+      let find a =
+        let set, tag = split a in
+        (set, tag, List.find_opt (fun (t', _, _) -> t' = tag) model.(set))
+      in
+      let drop set tag = model.(set) <- List.filter (fun (t', _, _) -> t' <> tag) model.(set) in
+      (* remove a line; its state as the cache reports it *)
+      let clean a =
+        match find a with
+        | _, _, None -> `Absent
+        | set, tag, Some (_, d, _) ->
+          drop set tag;
+          if d then begin
+            incr wbs;
+            `Dirty
+          end
+          else `Clean
+      in
+      let dirty_lines () =
+        let acc = ref [] in
+        Array.iteri
+          (fun set ls -> List.iter (fun (tag, d, _) -> if d then acc := line_addr set tag :: !acc) ls)
+          model;
+        List.sort compare !acc
+      in
+      List.for_all
+        (fun o ->
+          let agrees =
+            match o with
+            | Access (a, w) ->
+              incr tick;
+              let got = Cache.access c ~addr:a ~write:w in
+              let set, tag, l = find a in
+              let expect =
+                match l with
+                | Some (_, d, _) ->
+                  incr hits;
+                  drop set tag;
+                  model.(set) <- (tag, d || w, !tick) :: model.(set);
+                  Cache.hit
+                | None ->
+                  incr misses;
+                  let r =
+                    if List.length model.(set) < ways then Cache.miss
+                    else begin
+                      let vt, vd, _ =
+                        List.fold_left
+                          (fun ((_, _, u) as acc) ((_, _, u') as l) -> if u' < u then l else acc)
+                          (List.hd model.(set)) model.(set)
+                      in
+                      drop set vt;
+                      if vd then begin
+                        incr wbs;
+                        line_addr set vt
+                      end
+                      else Cache.miss
+                    end
+                  in
+                  model.(set) <- (tag, w, !tick) :: model.(set);
+                  r
+              in
+              got = expect
+            | Snoop a -> Cache.snoop c ~line_addr:a = clean a
+            | Probe a ->
+              Cache.probe c ~line_addr:a
+              = (match find a with
+                | _, _, None -> `Absent
+                | _, _, Some (_, d, _) -> if d then `Dirty else `Clean)
+            | Flush_range (a, l) ->
+              let got = Cache.flush_range c ~addr:a ~len:l in
+              let expect = ref [] in
+              if l > 0 then
+                for line = (a + l - 1) / line_bytes downto a / line_bytes do
+                  if clean (line * line_bytes) = `Dirty then
+                    expect := (line * line_bytes) :: !expect
+                done;
+              got = !expect
+            | Flush_all ->
+              let expect = dirty_lines () in
+              Array.iter (List.iter (fun (_, d, _) -> if d then incr wbs)) model;
+              Array.fill model 0 sets [];
+              List.sort compare (Cache.flush_all c) = expect
+          in
+          agrees
+          && Cache.hits c = !hits
+          && Cache.misses c = !misses
+          && Cache.writebacks c = !wbs
+          && Cache.valid_line_count c = Array.fold_left (fun n ls -> n + List.length ls) 0 model
+          && Cache.dirty_line_count c = List.length (dirty_lines ()))
+        ops)
 
 (* ---- Bus ---- *)
 
@@ -554,6 +690,9 @@ let () =
           Alcotest.test_case "flush range" `Quick test_cache_flush_range;
           Alcotest.test_case "snoop/probe" `Quick test_cache_snoop_and_probe;
           Alcotest.test_case "range spanning" `Quick test_cache_range_spanning;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20071 |])
+            prop_cache_matches_model;
         ] );
       ( "bus",
         [
