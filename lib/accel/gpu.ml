@@ -175,11 +175,7 @@ type dinstr = {
   lat : int; (* result latency, ps *)
 }
 
-type binding = {
-  prog : program;
-  surf_table : Surface.t array;
-  code : dinstr array;
-}
+type binding = { prog : program; surf_table : Surface.t array }
 
 (* One entry per hedged shred id. The entry exists while copies race;
    the first copy to retire wins, cancels the others and removes the
@@ -498,9 +494,8 @@ let decode t (i : instr) =
 let bind t ~prog ~surfaces =
   if Array.length surfaces < Array.length prog.surfaces then
     invalid_arg "Gpu.bind: surface table smaller than program slot table";
-  let code = Array.map (decode t) prog.instrs in
-  t.binding <- Some { prog; surf_table = surfaces; code };
-  t.code <- code
+  t.binding <- Some { prog; surf_table = surfaces };
+  t.code <- Array.map (decode t) prog.instrs
 
 (* One SIGNAL doorbell covers the whole batch: if the fault plan drops
    it, the shreds sit in shared memory ([parked]) but no EU ever polls
