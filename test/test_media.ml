@@ -103,6 +103,67 @@ let prop_store_load_linear =
       Image.store aspace p ~surface:s;
       Image.equal p (Image.load aspace ~surface:s))
 
+(* A linear surface moves a row at a time; that must leave memory, the
+   frames the OS hands out and every page-table entry (accessed/dirty
+   bits included) exactly as moving it sample by sample does. The
+   surface is not touched beforehand, so the transfers fault its pages
+   in, and each 6000-byte row of 16-bit samples crosses a page. *)
+let test_rows_match_samples () =
+  let width = 3000 and height = 5 and bpp = 2 in
+  let p =
+    Image.init ~width ~height (fun ~x ~y -> (((x * 37) + (y * 1001)) land 0xffff) - 0x8000)
+  in
+  let fresh () =
+    let aspace = Address_space.create (Phys_mem.create ~frames:256) in
+    let s =
+      Surface.make ~id:1 ~name:"s"
+        ~base:(Address_space.alloc aspace ~name:"s" ~bytes:(1 lsl 16) ~align:64)
+        ~width ~height ~bpp ~tiling:Surface.Linear ~mode:Surface.In_out
+    in
+    (aspace, s)
+  in
+  let ptes aspace =
+    let pt = Address_space.page_table aspace in
+    List.map
+      (fun vpage ->
+        match Page_table.walk pt ~vpage with
+        | Page_table.Mapped e -> (vpage, e)
+        | Page_table.No_table | Page_table.Not_present -> (vpage, 0l))
+      (Page_table.mapped_pages pt)
+  in
+  let rows, s = fresh () and samples, s' = fresh () in
+  Image.store rows p ~surface:s;
+  for y = 0 to height - 1 do
+    for x = 0 to width - 1 do
+      Address_space.write_u16 samples
+        (Surface.element_addr s' ~x ~y)
+        (Image.get p ~x ~y land 0xffff)
+    done
+  done;
+  check_bool "entries after store" true (ptes rows = ptes samples);
+  check_int "faults after store" (Address_space.minor_faults samples)
+    (Address_space.minor_faults rows);
+  let q = Image.load rows ~surface:s in
+  let q' =
+    Image.init ~width ~height (fun ~x ~y ->
+        Exochi_util.Bits.sign_extend
+          (Address_space.read_u16 samples (Surface.element_addr s' ~x ~y))
+          ~bits:16)
+  in
+  check_bool "loaded values" true (Image.equal q q' && Image.equal q p);
+  check_bool "entries after load" true (ptes rows = ptes samples);
+  (* a load of pages never written faults them in, accessed but clean *)
+  let rows, s = fresh () and samples, s' = fresh () in
+  ignore (Image.load rows ~surface:s);
+  for y = 0 to height - 1 do
+    for x = 0 to width - 1 do
+      ignore (Address_space.read_u16 samples (Surface.element_addr s' ~x ~y))
+    done
+  done;
+  check_bool "entries after a first load" true (ptes rows = ptes samples);
+  check_int "faults after a first load" (Address_space.minor_faults samples)
+    (Address_space.minor_faults rows)
+
 let () =
   Alcotest.run "media"
     [
@@ -122,5 +183,6 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_surface_roundtrips;
           QCheck_alcotest.to_alcotest prop_store_load_linear;
+          Alcotest.test_case "rows match samples" `Quick test_rows_match_samples;
         ] );
     ]
