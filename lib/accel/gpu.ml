@@ -210,8 +210,7 @@ type t = {
   mutable replay_at : int;
   mutable blocked_on : int;
   (* per-line cache outcomes of one timed access *)
-  line_shift : int; (* log2 of the cache line size *)
-  line_res : int array;
+  line_res : int array; (* per-line cache outcomes of one access *)
   (* one-page translation memo of the sampler's functional reads *)
   mutable memo_vpage : int;
   mutable memo_base : int;
@@ -297,7 +296,6 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
     sampler_busy = 0;
     replay_at = 0;
     blocked_on = 0;
-    line_shift = Bits.log2 config.line_bytes;
     line_res = Array.make ((max_access_bytes / config.line_bytes) + 2) 0;
     memo_vpage = -1;
     memo_base = -1;
@@ -687,21 +685,18 @@ let translate_all t eu ctx ~width =
   t.replay_at <- !stall;
   !stall = 0
 
-(* Timing for an access to a translated physical range: every line is
-   touched first, highest address first, then the outcomes are charged
-   in address order. Returns the completion timestamp. *)
+(* Timing for an access to a translated physical range: the outcomes
+   of its lines are charged in address order. Returns the completion
+   timestamp. *)
 let timed_access t eu ~paddr ~bytes ~write =
   let extra = t.hooks.mem_delay ~paddr ~bytes ~write ~now_ps:eu.now in
   let start = eu.now + extra in
-  let lb = Cache.line_bytes t.cache and sh = t.line_shift in
-  let first = paddr lsr sh and last = (paddr + bytes - 1) lsr sh in
-  for line = last downto first do
-    t.line_res.(line - first) <- Cache.access t.cache ~addr:(line lsl sh) ~write
-  done;
+  let lb = Cache.line_bytes t.cache in
+  let n = Cache.access_lines t.cache ~addr:paddr ~len:bytes ~write t.line_res in
   let hit_lat = 20 * t.cycle in
   let acc = ref (start + hit_lat) in
-  for line = first to last do
-    let r = t.line_res.(line - first) in
+  for i = 0 to n - 1 do
+    let r = t.line_res.(i) in
     if r <> Cache.hit then begin
       (* victim writebacks are posted *)
       if r >= 0 then ignore (Bus.request t.bus ~now_ps:start ~bytes:lb);

@@ -979,13 +979,6 @@ let taskq t ~prog ~descriptors ~tasks =
 
 (* ---- producer simulation ---- *)
 
-(* Write-touch every line of [addr, addr+len), highest line first. *)
-let touch_lines cache ~addr ~len =
-  let lb = Cache.line_bytes cache in
-  for line = (addr + len - 1) / lb downto addr / lb do
-    ignore (Cache.access cache ~addr:(line * lb) ~write:true)
-  done
-
 let produce t desc =
   let cpu = Exo_platform.cpu t.platform in
   let aspace = Exo_platform.aspace t.platform in
@@ -994,14 +987,18 @@ let produce t desc =
      of a large buffer naturally evicts (those writebacks happened during
      the producer stage, which we do not charge) *)
   let page = Phys_mem.page_size in
+  let l1 = Machine.l1 cpu and l2 = Machine.l2 cpu in
+  let results =
+    Array.make ((page / min (Cache.line_bytes l1) (Cache.line_bytes l2)) + 2) 0
+  in
   let rec go vaddr remaining =
     if remaining > 0 then begin
       let chunk = min remaining page in
       ignore (Address_space.fault_in aspace ~vaddr);
       let pa = Address_space.lookup aspace ~vaddr in
       if pa >= 0 then begin
-        touch_lines (Machine.l1 cpu) ~addr:pa ~len:chunk;
-        touch_lines (Machine.l2 cpu) ~addr:pa ~len:chunk
+        ignore (Cache.access_lines l1 ~addr:pa ~len:chunk ~write:true results);
+        ignore (Cache.access_lines l2 ~addr:pa ~len:chunk ~write:true results)
       end;
       go (vaddr + chunk) (remaining - chunk)
     end

@@ -224,19 +224,15 @@ let l1_miss t ~line_addr ~writeback =
     advance_to_ps t done_ps
   end
 
-(* Account one cache access covering [paddr, paddr+size): every L1 line
-   is touched first, highest address first, then the outcomes are
-   charged in address order. *)
+(* Account one cache access covering [paddr, paddr+size): the L1
+   outcomes of its lines are charged in address order. *)
 let cache_access t ~paddr ~size ~write =
-  let sh = t.line_shift in
-  let first = paddr lsr sh and last = (paddr + size - 1) lsr sh in
-  for line = last downto first do
-    t.l1_results.(line - first) <- Cache.access t.l1 ~addr:(line lsl sh) ~write
-  done;
-  for line = first to last do
-    let r = t.l1_results.(line - first) in
+  let n = Cache.access_lines t.l1 ~addr:paddr ~len:size ~write t.l1_results in
+  let first = paddr lsr t.line_shift in
+  for i = 0 to n - 1 do
+    let r = t.l1_results.(i) in
     if r = Cache.hit then cost t c_l1_hit
-    else l1_miss t ~line_addr:(line lsl sh) ~writeback:r
+    else l1_miss t ~line_addr:((first + i) lsl t.line_shift) ~writeback:r
   done
 
 let read_scalar t ~paddr ~size =

@@ -132,6 +132,13 @@ let access t ~addr ~write =
     result
   end
 
+let access_lines t ~addr ~len ~write results =
+  let first = addr lsr t.line_shift and last = (addr + len - 1) lsr t.line_shift in
+  for line = last downto first do
+    results.(line - first) <- access t ~addr:(line lsl t.line_shift) ~write
+  done;
+  last - first + 1
+
 (* Invalidate slot [i]; true if it was dirty (and so written back). *)
 let clean t i =
   let was_dirty = t.dirty.(i) in

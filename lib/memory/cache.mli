@@ -19,9 +19,16 @@ val line_bytes : t -> int
     (filling it on a miss) and says what happened: {!hit}, {!miss} when
     the fill evicted nothing dirty, or else the line address of the
     dirty victim written back. A filled line's address is [addr] rounded
-    down to {!line_bytes}. Allocation-free; callers touching a range
-    call it once per line. *)
+    down to {!line_bytes}. Allocation-free. *)
 val access : t -> addr:int -> write:bool -> int
+
+(** [access_lines t ~addr ~len ~write results] is one access covering
+    [addr, addr+len), [len > 0]: it applies {!access} to every line of
+    the range, highest address first, and stores the outcomes in
+    address order in [results.(0)] to [results.(n-1)], where [n], the
+    number of lines, is the result. [results] must hold [n] entries.
+    Allocation-free. *)
+val access_lines : t -> addr:int -> len:int -> write:bool -> int array -> int
 
 val hit : int
 val miss : int

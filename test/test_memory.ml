@@ -381,16 +381,13 @@ let test_cache_snoop_and_probe () =
   check_bool "snoop dirty" true (Cache.snoop c ~line_addr:0 = `Dirty);
   check_bool "snoop invalidates" true (Cache.probe c ~line_addr:0 = `Absent)
 
-(* An 8-byte access at 60 covers two lines: touching each line once
-   misses twice, and both lines then hit. *)
+(* An 8-byte access at 60 covers two lines: it misses twice, and both
+   lines then hit. *)
 let test_cache_range_spanning () =
   let c = Cache.create ~name:"t" ~size_bytes:1024 ~line_bytes:64 ~ways:2 in
-  let lb = Cache.line_bytes c in
-  let first = 60 / lb and last = (60 + 8 - 1) / lb in
-  check_int "spans two lines" 2 (last - first + 1);
-  for line = first to last do
-    check_bool "line misses" true (Cache.access c ~addr:(line * lb) ~write:false = Cache.miss)
-  done;
+  let results = Array.make 2 Cache.hit in
+  check_int "spans two lines" 2 (Cache.access_lines c ~addr:60 ~len:8 ~write:false results);
+  Array.iter (fun r -> check_bool "line misses" true (r = Cache.miss)) results;
   check_bool "low byte hits" true (Cache.access c ~addr:60 ~write:false = Cache.hit);
   check_bool "high byte hits" true (Cache.access c ~addr:67 ~write:false = Cache.hit);
   check_int "misses" 2 (Cache.misses c)
@@ -399,9 +396,11 @@ let test_cache_range_spanning () =
    last use) holding at most [ways] lines, where a fill into a full set
    evicts the line with the oldest use. Every result, the counters and
    the line counts must agree after each operation; repeated addresses
-   exercise the cache's lookup memos. *)
+   exercise the cache's lookup memos. A range access is single-line
+   accesses, highest line first, reported in address order. *)
 type cache_op =
   | Access of int * bool
+  | Access_lines of int * int * bool
   | Snoop of int
   | Probe of int
   | Flush_range of int * int
@@ -415,6 +414,7 @@ let prop_cache_matches_model =
       frequency
         [
           (8, map2 (fun a w -> Access (a, w)) addr bool);
+          (2, map3 (fun a l w -> Access_lines (a, l, w)) addr (int_range 1 80) bool);
           (3, map (fun a -> Snoop a) addr);
           (2, map (fun a -> Probe a) addr);
           (1, map2 (fun a l -> Flush_range (a, l)) addr (int_bound 80));
@@ -423,6 +423,7 @@ let prop_cache_matches_model =
   in
   let print = function
     | Access (a, w) -> Printf.sprintf "access %d %b" a w
+    | Access_lines (a, l, w) -> Printf.sprintf "access_lines %d %d %b" a l w
     | Snoop a -> Printf.sprintf "snoop %d" a
     | Probe a -> Printf.sprintf "probe %d" a
     | Flush_range (a, l) -> Printf.sprintf "flush_range %d %d" a l
@@ -462,43 +463,50 @@ let prop_cache_matches_model =
           model;
         List.sort compare !acc
       in
+      let access a w =
+        incr tick;
+        let set, tag, l = find a in
+        match l with
+        | Some (_, d, _) ->
+          incr hits;
+          drop set tag;
+          model.(set) <- (tag, d || w, !tick) :: model.(set);
+          Cache.hit
+        | None ->
+          incr misses;
+          let r =
+            if List.length model.(set) < ways then Cache.miss
+            else begin
+              let vt, vd, _ =
+                List.fold_left
+                  (fun ((_, _, u) as acc) ((_, _, u') as l) -> if u' < u then l else acc)
+                  (List.hd model.(set)) model.(set)
+              in
+              drop set vt;
+              if vd then begin
+                incr wbs;
+                line_addr set vt
+              end
+              else Cache.miss
+            end
+          in
+          model.(set) <- (tag, w, !tick) :: model.(set);
+          r
+      in
+      let results = Array.make 8 Cache.hit in
       List.for_all
         (fun o ->
           let agrees =
             match o with
-            | Access (a, w) ->
-              incr tick;
-              let got = Cache.access c ~addr:a ~write:w in
-              let set, tag, l = find a in
-              let expect =
-                match l with
-                | Some (_, d, _) ->
-                  incr hits;
-                  drop set tag;
-                  model.(set) <- (tag, d || w, !tick) :: model.(set);
-                  Cache.hit
-                | None ->
-                  incr misses;
-                  let r =
-                    if List.length model.(set) < ways then Cache.miss
-                    else begin
-                      let vt, vd, _ =
-                        List.fold_left
-                          (fun ((_, _, u) as acc) ((_, _, u') as l) -> if u' < u then l else acc)
-                          (List.hd model.(set)) model.(set)
-                      in
-                      drop set vt;
-                      if vd then begin
-                        incr wbs;
-                        line_addr set vt
-                      end
-                      else Cache.miss
-                    end
-                  in
-                  model.(set) <- (tag, w, !tick) :: model.(set);
-                  r
-              in
-              got = expect
+            | Access (a, w) -> Cache.access c ~addr:a ~write:w = access a w
+            | Access_lines (a, l, w) ->
+              let n = Cache.access_lines c ~addr:a ~len:l ~write:w results in
+              let first = a / line_bytes and last = (a + l - 1) / line_bytes in
+              let expect = Array.make (last - first + 1) Cache.hit in
+              for line = last downto first do
+                expect.(line - first) <- access (line * line_bytes) w
+              done;
+              n = Array.length expect && Array.sub results 0 n = expect
             | Snoop a -> Cache.snoop c ~line_addr:a = clean a
             | Probe a ->
               Cache.probe c ~line_addr:a
