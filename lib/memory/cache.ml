@@ -16,7 +16,6 @@ type t = {
   mutable last_line : int; (* line number of the latest lookup that found a slot *)
   mutable last_slot : int;
   mutable absent_line : int; (* line number of the latest lookup that found none *)
-  mutable absent_tick : int; (* [tick] at that lookup *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -42,7 +41,6 @@ let create ~name ~size_bytes ~line_bytes ~ways =
     last_line = -1;
     last_slot = 0;
     absent_line = -1;
-    absent_tick = 0;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -62,13 +60,13 @@ let line_addr t i = ((t.tags.(i) lsl t.set_shift) lor (i / t.ways)) lsl t.line_s
    and addresses non-negative, so shifts and masks split the address.
    Runs of lookups of one line skip the scan: the slot found last still
    holds that line exactly when its tag is unchanged, and a line found
-   absent stays absent until the next fill, which only [access] does
-   (after advancing [tick]). *)
+   absent stays absent until the next fill, which only [access] does,
+   and a fill forgets it. *)
 let find t addr =
   let line_no = addr lsr t.line_shift in
   let tag = line_no lsr t.set_shift in
   if line_no = t.last_line && t.tags.(t.last_slot) = tag then t.last_slot
-  else if line_no = t.absent_line && t.tick = t.absent_tick then -1
+  else if line_no = t.absent_line then -1
   else begin
     let base = (line_no land (t.sets - 1)) * t.ways in
     let i = ref base and last = base + t.ways in
@@ -82,7 +80,6 @@ let find t addr =
     end
     else begin
       t.absent_line <- line_no;
-      t.absent_tick <- t.tick;
       -1
     end
   end
