@@ -211,9 +211,6 @@ type t = {
   mutable blocked_on : int;
   (* per-line cache outcomes of one timed access *)
   line_res : int array; (* per-line cache outcomes of one access *)
-  (* one-page translation memo of the sampler's functional reads *)
-  mutable memo_vpage : int;
-  mutable memo_base : int;
   (* scratch context of the IA32 fallback emulator *)
   mutable emu_ctx : ctx option;
   (* counters *)
@@ -297,8 +294,6 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
     replay_at = 0;
     blocked_on = 0;
     line_res = Array.make ((max_access_bytes / config.line_bytes) + 2) 0;
-    memo_vpage = -1;
-    memo_base = -1;
     emu_ctx = None;
     retired = 0;
     switches = 0;
@@ -769,20 +764,8 @@ let sem_release t sem =
 (* ---- sampler ---- *)
 
 (* The sampler's functional reads translate through the page table
-   (setting the accessed bit; an unmapped page reads as 0). Within one
-   instruction no mapping can change, so one page is memoised; each
-   [sample] starts with [memo_reset]. *)
-let memo_reset t = t.memo_vpage <- -1
-
-let texel_paddr t va =
-  let vpage = va lsr Phys_mem.page_shift in
-  if vpage <> t.memo_vpage then begin
-    let pa = Address_space.lookup t.aspace ~vaddr:va in
-    t.memo_vpage <- vpage;
-    t.memo_base <- (if pa < 0 then -1 else pa land lnot (Phys_mem.page_size - 1))
-  end;
-  if t.memo_base < 0 then -1
-  else t.memo_base lor (va land (Phys_mem.page_size - 1))
+   (setting the accessed bit; an unmapped page reads as 0). *)
+let texel_paddr t va = Address_space.lookup t.aspace ~vaddr:va
 
 let clampi lo hi x = if x < lo then lo else if x > hi then hi else x
 
@@ -1107,7 +1090,6 @@ let exec t eu ~slot ctx d ~emu =
       in
       if not translated then replay
       else begin
-        memo_reset t;
         let done_ps =
           if emu then now
           else begin

@@ -13,9 +13,6 @@ type t = {
   tags : int array;
   dirty : bool array;
   lru : int array; (* tick of the last touch *)
-  mutable last_line : int; (* line number of the latest lookup that found a slot *)
-  mutable last_slot : int;
-  mutable absent_line : int; (* line number of the latest lookup that found none *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -38,9 +35,6 @@ let create ~name ~size_bytes ~line_bytes ~ways =
     tags = Array.make n (-1);
     dirty = Array.make n false;
     lru = Array.make n 0;
-    last_line = -1;
-    last_slot = 0;
-    absent_line = -1;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -57,32 +51,16 @@ let miss = -2
 let line_addr t i = ((t.tags.(i) lsl t.set_shift) lor (i / t.ways)) lsl t.line_shift
 
 (* Slot of the valid line holding [addr], or -1. Sizes are powers of two
-   and addresses non-negative, so shifts and masks split the address.
-   Runs of lookups of one line skip the scan: the slot found last still
-   holds that line exactly when its tag is unchanged, and a line found
-   absent stays absent until the next fill, which only [access] does,
-   and a fill forgets it. *)
+   and addresses non-negative, so shifts and masks split the address. *)
 let find t addr =
   let line_no = addr lsr t.line_shift in
   let tag = line_no lsr t.set_shift in
-  if line_no = t.last_line && t.tags.(t.last_slot) = tag then t.last_slot
-  else if line_no = t.absent_line then -1
-  else begin
-    let base = (line_no land (t.sets - 1)) * t.ways in
-    let i = ref base and last = base + t.ways in
-    while !i < last && t.tags.(!i) <> tag do
-      incr i
-    done;
-    if !i < last then begin
-      t.last_line <- line_no;
-      t.last_slot <- !i;
-      !i
-    end
-    else begin
-      t.absent_line <- line_no;
-      -1
-    end
-  end
+  let base = (line_no land (t.sets - 1)) * t.ways in
+  let i = ref base and last = base + t.ways in
+  while !i < last && t.tags.(!i) <> tag do
+    incr i
+  done;
+  if !i < last then !i else -1
 
 (* First invalid slot of the set starting at [base], else the least
    recently used one. *)
@@ -123,9 +101,6 @@ let access t ~addr ~write =
     t.tags.(v) <- line_no lsr t.set_shift;
     t.dirty.(v) <- write;
     t.lru.(v) <- t.tick;
-    t.last_line <- line_no;
-    t.last_slot <- v;
-    t.absent_line <- -1;
     result
   end
 

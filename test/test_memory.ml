@@ -395,9 +395,9 @@ let test_cache_range_spanning () =
 (* The cache against a naive model: per set, a list of (tag, dirty,
    last use) holding at most [ways] lines, where a fill into a full set
    evicts the line with the oldest use. Every result, the counters and
-   the line counts must agree after each operation; repeated addresses
-   exercise the cache's lookup memos. A range access is single-line
-   accesses, highest line first, reported in address order. *)
+   the line counts must agree after each operation. A range access is
+   single-line accesses, highest line first, reported in address
+   order. *)
 type cache_op =
   | Access of int * bool
   | Access_lines of int * int * bool
