@@ -198,6 +198,9 @@ type t = {
   parked : shred Queue.t; (* enqueued but doorbell lost: invisible to EUs *)
   mutable binding : binding option;
   mutable code : dinstr array; (* the bound program, decoded *)
+  (* programs this device decoded, by physical identity, most recently
+     bound first; at most [decoded_cap] entries *)
+  mutable decoded : (program * dinstr array) list;
   mutable nshred : int; (* team size visible as %nshred *)
   mutable spawn_counter : int;
   sem_held : bool array;
@@ -283,6 +286,7 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
     parked = Queue.create ();
     binding = None;
     code = [||];
+    decoded = [];
     nshred = 0;
     spawn_counter = 0;
     sem_held = Array.make 16 false;
@@ -484,11 +488,32 @@ let decode t (i : instr) =
     lat;
   }
 
+(* A device rebinds the same few programs batch after batch, so it
+   decodes each once. Decoding depends only on the program and the
+   device's fixed configuration. The cache is bounded: a device that
+   binds many distinct programs keeps only the [decoded_cap] most
+   recent. *)
+let decoded_cap = 16
+
+let decoded_code t prog =
+  match t.decoded with
+  | (p, code) :: _ when p == prog -> code
+  | cached ->
+    let code =
+      match List.assq_opt prog cached with
+      | Some code -> code
+      | None -> Array.map (decode t) prog.instrs
+    in
+    t.decoded <-
+      (prog, code)
+      :: List.filteri (fun i (p, _) -> i < decoded_cap - 1 && p != prog) cached;
+    code
+
 let bind t ~prog ~surfaces =
   if Array.length surfaces < Array.length prog.surfaces then
     invalid_arg "Gpu.bind: surface table smaller than program slot table";
   t.binding <- Some { prog; surf_table = surfaces };
-  t.code <- Array.map (decode t) prog.instrs
+  t.code <- decoded_code t prog
 
 (* One SIGNAL doorbell covers the whole batch: if the fault plan drops
    it, the shreds sit in shared memory ([parked]) but no EU ever polls

@@ -109,8 +109,10 @@ val tlb : t -> Exochi_memory.Pte.X3k.t Exochi_memory.Tlb.t
 (** {1 Dispatch} *)
 
 (** Bind a program and its surface table (program surface slot -> concrete
-    surface) for subsequent dispatches. The program is decoded here, once,
-    into the form the EUs and {!emulate_shred} execute. *)
+    surface) for subsequent dispatches. The program is decoded into the
+    form the EUs and {!emulate_shred} execute once per device: rebinding
+    the physically same program reuses its decoded form from a small
+    bounded cache, so a bound program must not be mutated. *)
 val bind :
   t -> prog:X3k_ast.program -> surfaces:Exochi_memory.Surface.t array -> unit
 

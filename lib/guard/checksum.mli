@@ -8,6 +8,10 @@
 (** The FNV-1a initial accumulator. *)
 val offset_basis : int64
 
+(** [add_sub acc b off len] mixes the [len] bytes of [b] from [off].
+    Allocates nothing; every other entry point is built on it. *)
+val add_sub : int64 -> Bytes.t -> int -> int -> int64
+
 val add_string : int64 -> string -> int64
 val add_bytes : int64 -> Bytes.t -> int64
 

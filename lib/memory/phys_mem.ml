@@ -57,6 +57,8 @@ let source t addr =
   let f = addr lsr page_shift in
   if f < t.total_frames then t.frames.(f) else zero_page
 
+let frame_data = source
+
 (* Backing store for writing, materialised on first write. *)
 let sink t addr =
   let f = addr lsr page_shift in

@@ -52,5 +52,11 @@ val write_i32 : t -> int -> int -> unit
 val blit_to_bytes : t -> src:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val blit_of_bytes : t -> src:bytes -> src_off:int -> dst:int -> len:int -> unit
 
+(** [frame_data t addr] is the backing store of the frame holding [addr],
+    at offset [addr land (page_size - 1)], for reading in place without
+    a copy. Never allocates. Callers must not write it: frames never
+    written share one all-zero page. *)
+val frame_data : t -> int -> bytes
+
 (** [copy t ~src ~dst ~len] copies between physical ranges. *)
 val copy : t -> src:int -> dst:int -> len:int -> unit

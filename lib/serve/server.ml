@@ -70,7 +70,9 @@ let default_config =
    for dispatch. *)
 type arena = {
   a_units : int;
-  a_unit_params : int -> int array;
+  (* per-unit launch parameters, tabulated at prepare time so the arena
+     does not keep the kernel's input images alive *)
+  a_params : int array array;
   a_prog : Exochi_isa.X3k_ast.program;
   a_descriptors : Chi_descriptor.t list;
   (* Exo-bound per-shred worst-case busy cycles over the arena's actual
@@ -260,13 +262,17 @@ let output_surfaces (a : arena) =
       | Surface.Input -> None)
     a.a_descriptors
 
+(* A fresh array per call, as [Kernel.unit_params] returns. *)
+let unit_params (a : arena) u = Array.copy a.a_params.(u)
+
+(* Hashes the output surfaces where they live in physical memory: no
+   copy, no allocation per byte. *)
 let arena_checksum t (a : arena) =
   let aspace = Platform.aspace t.platform in
   List.fold_left
     (fun acc (s : Surface.t) ->
-      Checksum.add_bytes acc
-        (Address_space.read_bytes aspace ~vaddr:s.Surface.base
-           ~len:(Surface.byte_size s)))
+      Address_space.fold_range aspace ~vaddr:s.Surface.base
+        ~len:(Surface.byte_size s) ~init:acc Checksum.add_sub)
     Checksum.offset_basis (output_surfaces a)
 
 let bind_arena t (a : arena) =
@@ -297,7 +303,7 @@ let golden_pass t (a : arena) =
   for u = 0 to a.a_units - 1 do
     ignore
       (Gpu.emulate_shred gpu
-         { Gpu.shred_id = u; entry = 0; params = a.a_unit_params u })
+         { Gpu.shred_id = u; entry = 0; params = unit_params a u })
   done;
   let aspace = Platform.aspace t.platform in
   a.a_golden <-
@@ -307,18 +313,24 @@ let golden_pass t (a : arena) =
           Address_space.read_bytes aspace ~vaddr:s.Surface.base
             ~len:(Surface.byte_size s) ))
       (output_surfaces a);
-  a.a_ref_sum <- Some (arena_checksum t a)
+  (* the snapshot holds exactly the bytes a checksum pass would read *)
+  a.a_ref_sum <-
+    Some
+      (List.fold_left
+         (fun acc (_, img) -> Checksum.add_bytes acc img)
+         Checksum.offset_basis a.a_golden)
 
 (* Launch-parameter environment for Exo-bound: the inclusive per-index
    min/max over every unit's actual parameter vector. *)
-let arena_bound_env ~units ~unit_params =
+let arena_bound_env params =
+  let units = Array.length params in
   if units <= 0 then Bound.no_env
   else begin
-    let p0 = unit_params 0 in
+    let p0 = params.(0) in
     let nparams = Array.length p0 in
     let lo = Array.copy p0 and hi = Array.copy p0 in
     for u = 1 to units - 1 do
-      let p = unit_params u in
+      let p = params.(u) in
       for i = 0 to min (Array.length p) nparams - 1 do
         if p.(i) < lo.(i) then lo.(i) <- p.(i);
         if p.(i) > hi.(i) then hi.(i) <- p.(i)
@@ -336,6 +348,7 @@ let ensure_arena t abbrev =
     | Some k ->
       let prng = Prng.create arena_seed in
       let io = k.Kernel.make_io ?frames:t.cfg.frames prng t.cfg.scale in
+      let params = Array.init io.Kernel.units (k.Kernel.unit_params io) in
       let inputs, outputs = materialise t io in
       (* arena inputs were produced by the tenant's preceding IA32 stage *)
       List.iter (fun d -> Chi.produce t.rt d) inputs;
@@ -349,18 +362,17 @@ let ensure_arena t abbrev =
       let bound_cycles =
         if not t.cfg.static_admission then None
         else
-          let env =
-            arena_bound_env ~units:io.Kernel.units
-              ~unit_params:(k.Kernel.unit_params io)
-          in
-          match (Bound.analyze_x3k ~env prog).Bound.verdict with
+          match
+            (Bound.analyze_x3k ~env:(arena_bound_env params) prog)
+              .Bound.verdict
+          with
           | Bound.Cycles c -> Some c
           | Bound.Unbounded | Bound.Unknown _ -> None
       in
       let a =
         {
           a_units = io.Kernel.units;
-          a_unit_params = k.Kernel.unit_params io;
+          a_params = params;
           a_prog = prog;
           a_descriptors = inputs @ outputs;
           a_bound_cycles = bound_cycles;
@@ -521,14 +533,16 @@ let guard_verify t (arena : arena) ~batch ~shreds =
     in
     (* 2. sampled golden-replay audits; replaying a unit rewrites its
        outputs with golden values, so a checksum change across the audit
-       means the audit itself caught (and partially healed) corruption *)
-    let audit_hit =
+       means the audit itself caught (and partially healed) corruption.
+       That only counts when step 1 corrupted something, so the
+       pre-audit checksum is taken only then. *)
+    let pre_audit_sum =
       match t.audit_prng with
       | Some ap when g.g_audit_frac > 0.0 ->
         let naudit =
           int_of_float (Float.ceil (g.g_audit_frac *. float_of_int shreds))
         in
-        let sum0 = arena_checksum t arena in
+        let sum0 = if delta > 0 then Some (arena_checksum t arena) else None in
         let gpu = Platform.gpu t.platform in
         let costs = Platform.costs t.platform in
         bind_arena t arena;
@@ -536,39 +550,65 @@ let guard_verify t (arena : arena) ~batch ~shreds =
           let u = Prng.int ap arena.a_units in
           let _, lane_ops =
             Gpu.emulate_shred gpu
-              { Gpu.shred_id = u; entry = 0; params = arena.a_unit_params u }
+              { Gpu.shred_id = u; entry = 0; params = unit_params arena u }
           in
           Machine.add_time_ps cpu
             (costs.Platform.uli_ps + costs.Platform.ceh_base_ps
             + (lane_ops * costs.Platform.ceh_per_lane_ps))
         done;
         t.g_audit_shreds <- t.g_audit_shreds + naudit;
-        arena_checksum t arena <> sum0
-      | _ -> false
+        sum0
+      | _ -> None
     in
-    (* 3. full checksum against the golden reference; heal on mismatch *)
+    (* 3. one post-audit checksum serves both the audit-hit test and the
+       comparison against the golden reference: nothing writes memory
+       between the two. Heal on mismatch. *)
+    let sum = arena_checksum t arena in
+    let audit_hit =
+      match pre_audit_sum with Some sum0 -> sum <> sum0 | None -> false
+    in
     let mismatch =
       match arena.a_ref_sum with
-      | Some ref_sum -> arena_checksum t arena <> ref_sum
+      | Some ref_sum -> sum <> ref_sum
       | None -> false
     in
-    (* page-granular heal: corruption is a handful of bytes, so diff the
-       snapshot page by page and copy back only damaged pages — the data
-       movement is what the memory model charges, the compare rides the
-       checksum pass (charged zero, like all guard hashing) *)
+    (* page-granular heal: corruption is a handful of bytes, so compare
+       the snapshot page by page in place and copy back only damaged
+       pages — the data movement is what the memory model charges, the
+       compare rides the checksum pass (charged zero, like all guard
+       hashing) *)
     if mismatch then begin
-      let page = Exochi_memory.Phys_mem.page_size in
+      let page = Phys_mem.page_size in
       let restored = ref 0 in
       List.iter
         (fun (base, img) ->
+          (* the fold's accumulator is the snapshot offset the next
+             slice must match, or -1 once the chunk differs *)
+          let same pos data off n =
+            if pos < 0 then pos
+            else begin
+              let i = ref 0 in
+              while
+                !i < n
+                && Bytes.unsafe_get data (off + !i)
+                   = Bytes.unsafe_get img (pos + !i)
+              do
+                incr i
+              done;
+              if !i = n then pos + n else -1
+            end
+          in
           let len = Bytes.length img in
-          let cur = Address_space.read_bytes aspace ~vaddr:base ~len in
           let off = ref 0 in
           while !off < len do
             let n = min page (len - !off) in
-            if Bytes.sub cur !off n <> Bytes.sub img !off n then begin
-              Address_space.write_bytes aspace ~vaddr:(base + !off)
-                (Bytes.sub img !off n);
+            if
+              Address_space.fold_range aspace ~vaddr:(base + !off) ~len:n
+                ~init:!off same
+              < 0
+            then begin
+              Address_space.write_sub aspace ~vaddr:(base + !off) img ~off:!off
+                ~len:n;
               restored := !restored + n
             end;
             off := !off + page
@@ -668,7 +708,7 @@ let dispatch_batch t ~on_done ~on_shed (b : Batcher.batch) =
   emit_ev t
     (Trace.Batch_dispatch { batch = id; jobs = njobs; shreds = b.Batcher.shreds });
   Server_stats.record_batch t.coll ~jobs:njobs ~shreds:b.Batcher.shreds;
-  let params i = arena.a_unit_params (i mod arena.a_units) in
+  let params i = unit_params arena (i mod arena.a_units) in
   match
     Chi.parallel t.rt ~prog:arena.a_prog ~descriptors:arena.a_descriptors
       ~num_threads:b.Batcher.shreds ~params ~master_nowait:false ()
@@ -721,7 +761,7 @@ let launch_batch t plc (b : Batcher.batch) =
     (Trace.Batch_dispatch
        { batch = id; jobs = njobs; shreds = b.Batcher.shreds });
   Server_stats.record_batch t.coll ~jobs:njobs ~shreds:b.Batcher.shreds;
-  let params i = arena.a_unit_params (i mod arena.a_units) in
+  let params i = unit_params arena (i mod arena.a_units) in
   let team =
     Chi.parallel t.rt ~prog:arena.a_prog ~descriptors:arena.a_descriptors
       ~num_threads:b.Batcher.shreds ~params ~device:dev ~master_nowait:true ()

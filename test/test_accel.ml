@@ -695,6 +695,81 @@ let test_smt_off_still_correct () =
     check_int (Printf.sprintf "o[%d]" i) i (rd32 rig out ~x:i ~y:0)
   done
 
+(* ---- per-device decode cache ---- *)
+
+let cache_prog_a = {|
+  mov.1.dw vr0 = %p0
+  mul.1.dw vr1 = vr0, 3
+  st.1.dw (O, vr0, 0) = vr1
+  end
+|}
+
+let cache_prog_b = {|
+  mov.1.dw vr0 = %p0
+  add.1.dw vr1 = vr0, 100
+  fdiv.1.f vr2 = vr1, vr1
+  st.1.dw (O, vr0, 0) = vr1
+  end
+|}
+
+let filler k =
+  Printf.sprintf "  mov.1.dw vr0 = %%p0\n  st.1.dw (O, vr0, 0) = %d\n  end\n" k
+
+(* A, B, A, then more distinct programs than the cache holds, then A and
+   B again *)
+let rebind_seq =
+  [ cache_prog_a; cache_prog_b; cache_prog_a ]
+  @ List.init 20 filler @ [ cache_prog_a; cache_prog_b ]
+
+(* what each program of [rebind_seq] stores at word i *)
+let rebind_expect =
+  [ (fun i -> 3 * i); (fun i -> i + 100); (fun i -> 3 * i) ]
+  @ List.init 20 (fun k _ -> k)
+  @ [ (fun i -> 3 * i); (fun i -> i + 100) ]
+
+(* Runs a team after each bind of [rebind_seq] on one device. [fetch]
+   returns the program to bind for a source: the same physical program
+   each time, or a freshly assembled one. Records the quiescence time,
+   the retired-instruction count and every output word after each run. *)
+let rebind_trace fetch =
+  let rig = make_rig () in
+  let out = alloc_surface rig "O" ~width:32 ~height:1 ~bpp:4 in
+  List.map
+    (fun src ->
+      Gpu.bind rig.gpu ~prog:(fetch src) ~surfaces:[| out |];
+      Gpu.enqueue rig.gpu
+        (List.init 32 (fun i ->
+             { Gpu.shred_id = i; entry = 0; params = [| i |] }));
+      let t = Gpu.run_to_quiescence rig.gpu in
+      ( t,
+        Gpu.instructions_retired rig.gpu,
+        List.init 32 (fun x -> rd32 rig out ~x ~y:0) ))
+    rebind_seq
+
+let test_decode_cache_rebind () =
+  let fresh src = X3k_asm.assemble_exn ~name:"t" src in
+  let memo = Hashtbl.create 8 in
+  let same src =
+    match Hashtbl.find_opt memo src with
+    | Some p -> p
+    | None ->
+      let p = fresh src in
+      Hashtbl.add memo src p;
+      p
+  in
+  let expect = rebind_trace fresh in
+  let got = rebind_trace same in
+  List.iteri
+    (fun i (((t, n, words), (t', n', words')), f) ->
+      Alcotest.(check (list int)) (Printf.sprintf "run %d: outputs" i)
+        (List.init 32 f) words;
+      check_int (Printf.sprintf "run %d: time" i) t t';
+      check_int (Printf.sprintf "run %d: retired" i) n n';
+      Alcotest.(check (list int))
+        (Printf.sprintf "run %d: outputs as fresh" i)
+        words words')
+    (List.combine (List.combine expect got) rebind_expect)
+
 let () =
   Alcotest.run "accel"
     [
@@ -707,6 +782,7 @@ let () =
           Alcotest.test_case "gather/scatter" `Quick test_gather_scatter;
           Alcotest.test_case "sampler" `Quick test_sampler_bilinear;
           Alcotest.test_case "sampler edges" `Quick test_sampler_edges;
+          Alcotest.test_case "decode cache rebind" `Quick test_decode_cache_rebind;
         ] );
       ( "ceh",
         [

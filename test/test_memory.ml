@@ -652,6 +652,66 @@ let test_aspace_unaligned_u32 () =
   Alcotest.(check int32) "straddled u32" 0x11223344l
     (Address_space.read_u32 a (base + 4094))
 
+(* A 5-page region at a base that is not page aligned, with its first
+   pages written and the rest never touched (unmapped), so a read faults
+   some pages in. *)
+let fold_rig () =
+  let m = Phys_mem.create ~frames:64 in
+  let a = Address_space.create m in
+  ignore (Address_space.alloc a ~name:"pad" ~bytes:100 ~align:64);
+  let size = 5 * Phys_mem.page_size in
+  let base = Address_space.alloc a ~name:"buf" ~bytes:size ~align:64 in
+  Address_space.write_bytes a ~vaddr:base
+    (Bytes.init 9000 (fun i -> Char.chr ((i * 37 + (i lsr 8)) land 0xff)));
+  (a, base, size)
+
+(* Accessed/dirty bits of every page the region spans; None = unmapped. *)
+let region_bits a base size =
+  List.init
+    ((size / Phys_mem.page_size) + 2)
+    (fun k ->
+      match
+        Page_table.walk (Address_space.page_table a)
+          ~vpage:((base lsr Phys_mem.page_shift) + k)
+      with
+      | Page_table.Mapped e ->
+        let at = Pte.Ia32.decode e in
+        Some (at.Pte.Ia32.accessed, at.Pte.Ia32.dirty)
+      | Page_table.No_table | Page_table.Not_present -> None)
+
+let prop_fold_range_matches_read_bytes =
+  QCheck.Test.make ~name:"fold_range hash = hash of read_bytes copy"
+    ~count:300
+    QCheck.(pair (int_bound (5 * 4096 - 1)) (int_bound (5 * 4096)))
+    (fun (off, len) ->
+      let a1, base, size = fold_rig () in
+      let a2, _, _ = fold_rig () in
+      let len = min len (size - off) in
+      let copied =
+        Exochi_guard.Checksum.of_bytes
+          (Address_space.read_bytes a1 ~vaddr:(base + off) ~len)
+      in
+      let in_place =
+        Address_space.fold_range a2 ~vaddr:(base + off) ~len
+          ~init:Exochi_guard.Checksum.offset_basis
+          Exochi_guard.Checksum.add_sub
+      in
+      copied = in_place
+      && Address_space.minor_faults a1 = Address_space.minor_faults a2
+      && region_bits a1 base size = region_bits a2 base size)
+
+let test_aspace_write_sub () =
+  let a, base, _ = fold_rig () in
+  let src = Bytes.init 6000 (fun i -> Char.chr (255 - (i land 0xff))) in
+  Address_space.write_sub a ~vaddr:(base + 4000) src ~off:1000 ~len:4500;
+  Alcotest.(check string) "slice written across a page boundary"
+    (Bytes.sub_string src 1000 4500)
+    (Bytes.to_string
+       (Address_space.read_bytes a ~vaddr:(base + 4000) ~len:4500));
+  Alcotest.check_raises "slice out of bounds"
+    (Invalid_argument "Address_space.write_sub") (fun () ->
+      Address_space.write_sub a ~vaddr:base src ~off:5000 ~len:1001)
+
 let () =
   Alcotest.run "memory"
     [
@@ -722,5 +782,9 @@ let () =
           Alcotest.test_case "bytes straddle" `Quick test_aspace_bytes_straddle_pages;
           Alcotest.test_case "segfault" `Quick test_aspace_segfault;
           Alcotest.test_case "unaligned u32" `Quick test_aspace_unaligned_u32;
+          Alcotest.test_case "write_sub" `Quick test_aspace_write_sub;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20071 |])
+            prop_fold_range_matches_read_bytes;
         ] );
     ]
