@@ -220,7 +220,6 @@ type t = {
   mutable retired : int;
   mutable switches : int;
   mutable busy_cyc : int;
-  mutable stall_cyc : int;
   mutable completed : int;
   mutable sampler_reqs : int;
   mutable last_done : int; (* time the most recent shred finished *)
@@ -302,7 +301,6 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
     retired = 0;
     switches = 0;
     busy_cyc = 0;
-    stall_cyc = 0;
     completed = 0;
     sampler_reqs = 0;
     last_done = 0;
@@ -311,7 +309,6 @@ let create ?(config = default_config) ~aspace ~bus ~hooks () =
   }
 
 let set_profiler t f = t.prof <- Some f
-let clear_profiler t = t.prof <- None
 
 let config t = t.cfg
 let clock t = t.clock
@@ -580,7 +577,6 @@ let last_shred_done t = t.last_done
 let operand_stall_ps t = t.operand_stall_ps
 let instructions_retired t = t.retired
 let thread_switches t = t.switches
-let stall_cycles t = t.stall_cyc
 let busy_cycles t = t.busy_cyc
 let cycle_ps t = t.cycle
 let hw_contexts t = t.cfg.eus * t.cfg.threads_per_eu
@@ -590,7 +586,6 @@ let reset_counters t =
   t.retired <- 0;
   t.switches <- 0;
   t.busy_cyc <- 0;
-  t.stall_cyc <- 0;
   t.sampler_reqs <- 0;
   Cache.reset_stats t.cache;
   Tlb.reset_stats t.gtlb
@@ -1434,13 +1429,9 @@ let step_eu t eu target_ps =
     if slot < 0 then begin
       (* nothing ready: jump to the next event or the slice end *)
       let ps = next_event eu in
-      if ps < target_ps then begin
-        t.stall_cyc <- t.stall_cyc + ((ps - eu.now) / t.cycle);
-        eu.now <- max eu.now ps
-      end
+      if ps < target_ps then eu.now <- max eu.now ps
       else if (not (Queue.is_empty t.queue)) && has_free_slot eu then refresh t eu
       else begin
-        t.stall_cyc <- t.stall_cyc + ((target_ps - eu.now) / t.cycle);
         eu.now <- target_ps;
         continue_ := false
       end
@@ -1596,12 +1587,6 @@ let quarantine t ~eu ~slot =
   trace_emit t ~ts:(now_ps t) ~seq:(Trace.Exo { eu; slot }) Trace.Quarantine;
   t.eus.(eu).ctxs.(slot).disabled <- true
 
-let quarantined_slots t =
-  Array.fold_left
-    (fun acc eu ->
-      Array.fold_left (fun a c -> if c.disabled then a + 1 else a) acc eu.ctxs)
-    0 t.eus
-
 let active_slots t =
   Array.fold_left
     (fun acc eu ->
@@ -1614,7 +1599,6 @@ let reinstate t ~eu ~slot =
   ctx.fails <- 0
 
 let slot_completions t ~eu ~slot = t.eus.(eu).ctxs.(slot).completions
-let slot_failures t ~eu ~slot = t.eus.(eu).ctxs.(slot).fails
 
 (* ---- hedged re-dispatch ---- *)
 

@@ -102,7 +102,6 @@ val clock : t -> Exochi_util.Timebase.clock
 val set_profiler :
   t -> (prog:X3k_ast.program -> pc:int -> cost_ps:int -> unit) -> unit
 
-val clear_profiler : t -> unit
 val cache : t -> Exochi_memory.Cache.t
 val tlb : t -> Exochi_memory.Pte.X3k.t Exochi_memory.Tlb.t
 
@@ -188,8 +187,6 @@ val reap_overdue :
     runtime later calls {!reinstate} (circuit-breaker probation). *)
 val quarantine : t -> eu:int -> slot:int -> unit
 
-val quarantined_slots : t -> int
-
 (** Slots still eligible for dispatch. *)
 val active_slots : t -> int
 
@@ -200,9 +197,6 @@ val reinstate : t -> eu:int -> slot:int -> unit
 (** Shreds this slot has ever retired (includes suppressed hedge
     losers) — the runtime's per-slot health signal. *)
 val slot_completions : t -> eu:int -> slot:int -> int
-
-(** Consecutive watchdog reaps on this slot. *)
-val slot_failures : t -> eu:int -> slot:int -> int
 
 (** {1 Hedged re-dispatch}
 
@@ -250,7 +244,6 @@ val flush_cache : t -> int
 
 val instructions_retired : t -> int
 val thread_switches : t -> int
-val stall_cycles : t -> int
 val busy_cycles : t -> int
 
 (** Picoseconds per sequencer cycle (from [config.clock_mhz]). *)

@@ -1,5 +1,4 @@
-(* Exo-fabric: pluggable sequencer backends and multi-device sharded
-   execution.
+(* Exo-fabric: the X3K device set and multi-device sharded execution.
 
    The load-bearing invariants of the device-set refactor:
    - devices:1 through the device-set machinery is bit- and
@@ -15,7 +14,6 @@ open Exochi_memory
 open Exochi_core
 open Exochi_isa
 module Gpu = Exochi_accel.Gpu
-module Sb = Exochi_accel.Sequencer_backend
 module Trace = Exochi_obs.Trace
 module Fault_plan = Exochi_faults.Fault_plan
 module Kernel = Exochi_kernels.Kernel
@@ -254,29 +252,27 @@ let test_journal_topology_fingerprint () =
     | None -> false);
   Sys.remove path
 
-(* ---- backend interface surface ---- *)
+(* ---- the device table's rows ---- *)
 
-let test_backend_table () =
+(* What [exochi_dbg devices] prints, read from the platform itself: one
+   X3K row per device in index order, then the IA32 master's one-slot
+   row at the CPU clock. *)
+let test_device_table_rows () =
   let p = Exo_platform.create ~devices:2 () in
-  let backends = Exo_platform.all_backends p in
-  check_int "two X3K devices plus the IA32 soft backend" 3
-    (List.length backends);
-  (match backends with
-  | [ b0; b1; soft ] ->
-    check_bool "device ids in order" true
-      (b0.Sb.caps.Sb.bk_dev = 0 && b1.Sb.caps.Sb.bk_dev = 1);
-    check_bool "X3K kinds" true
-      (b0.Sb.caps.Sb.bk_kind = Sb.X3k && b1.Sb.caps.Sb.bk_kind = Sb.X3k);
-    check_bool "soft backend is the IA32 master" true
-      (soft.Sb.caps.Sb.bk_kind = Sb.Ia32_soft);
-    check_int "soft backend has one slot" 1 (Sb.slots soft.Sb.caps);
-    check_bool "describe names the kind" true
-      (Astring.String.is_infix ~affix:"ia32-soft" (Sb.describe soft))
-  | _ -> Alcotest.fail "unexpected backend list shape");
-  (* the backend view delegates to the same device object *)
-  let b0 = Exo_platform.backend p ~dev:0 in
-  check_int "delegated queue length" (Gpu.queue_length (Exo_platform.gpu_dev p 0))
-    (b0.Sb.queue_length ())
+  check_int "two X3K devices" 2 (Exo_platform.devices p);
+  let base = Gpu.default_config in
+  for d = 0 to 1 do
+    let cfg = Gpu.config (Exo_platform.gpu_dev p d) in
+    check_int "device ids in order" d cfg.Gpu.dev;
+    check_int "X3K slots" (base.Gpu.eus * base.Gpu.threads_per_eu)
+      (Gpu.hw_contexts (Exo_platform.gpu_dev p d));
+    check_int "X3K clock" base.Gpu.clock_mhz cfg.Gpu.clock_mhz
+  done;
+  check_bool "device 0 is the single-device accessor" true
+    (Exo_platform.gpu p == Exo_platform.gpu_dev p 0);
+  check_int "the IA32 row runs at the CPU clock"
+    Exochi_cpu.Machine.default_config.Exochi_cpu.Machine.clock_mhz
+    (Exochi_util.Timebase.mhz (Exochi_cpu.Machine.clock (Exo_platform.cpu p)))
 
 let () =
   Alcotest.run "fabric"
@@ -311,9 +307,8 @@ let () =
           Alcotest.test_case "journal refuses a different topology" `Quick
             test_journal_topology_fingerprint;
         ] );
-      ( "backends",
+      ( "devices",
         [
-          Alcotest.test_case "device table and delegation" `Quick
-            test_backend_table;
+          Alcotest.test_case "device table rows" `Quick test_device_table_rows;
         ] );
     ]
