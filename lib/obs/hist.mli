@@ -3,7 +3,7 @@
 
     Values are bucketed by [Float.frexp]: each power-of-two octave is
     split into [sub = 32] linear sub-buckets, so every bucket's relative
-    width is at most {!rel_error} (3.125%) and a quantile estimate is
+    width is at most [1/sub] (3.125%) and a quantile estimate is
     never further than one bucket width from the exact sorted
     percentile at the same rank. Bucketing is pure integer/ldexp
     arithmetic — no logarithm — so identical value streams produce
@@ -35,9 +35,6 @@ val max_value : t -> float
     midpoint, clamped into the exact observed [min, max]. 0 when empty.
     Monotone in [p] by construction. *)
 val quantile : t -> float -> float
-
-(** Worst-case relative bucket half-width ([1/sub]). *)
-val rel_error : float
 
 (** Absolute width of the bucket that would hold [v] — the per-estimate
     error budget the tests check against. *)

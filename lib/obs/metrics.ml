@@ -1,13 +1,9 @@
-(* Per-kernel metrics aggregated from the trace event stream: EU
-   occupancy, shred-latency percentiles, proxy-service breakdowns and
-   bytes moved. Everything is derived from events (plus the counter
-   snapshots the platform emits at the end of a run), so the aggregator
-   works on any sink regardless of which layer filled it. *)
+(* Per-kernel metrics: a snapshot of Live folded over the events a ring
+   kept (plus the counter snapshots the platform emits at the end of a
+   run), so the report works on any sink regardless of which layer
+   filled it, and counts every event kind exactly as the live tap does. *)
 
 type service = { count : int; total_ps : int }
-
-let no_service = { count = 0; total_ps = 0 }
-let bump s dur = { count = s.count + 1; total_ps = s.total_ps + dur }
 
 type t = {
   events : int;
@@ -64,136 +60,58 @@ type t = {
 }
 
 let of_events ?(dropped = 0) ~eus ~threads_per_eu events =
+  let l = Live.create () in
+  List.iter (Live.observe l) events;
   let exo_tracks = eus * threads_per_eu in
-  let first = ref max_int and last = ref 0 in
-  let retired = ref 0 and enqueued = ref 0 in
-  let lats = Hist.create () in
-  let busy = ref 0 in
-  let tlb_misses = ref 0 and transients = ref 0 and spurious = ref 0 in
-  let gtt = ref no_service and proxy = ref no_service and ceh = ref no_service in
-  let doorbells = ref 0 and lost = ref 0 and redeliveries = ref 0 in
-  let redispatches = ref 0 and reaps = ref 0 and quarantines = ref 0 in
-  let fallbacks = ref 0 in
-  let faults : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let flush = ref 0 and copy = ref 0 in
-  let arrived = ref 0 and jobs_done = ref 0 and shed = ref 0 in
-  let batches = ref 0 in
-  let job_lats = Hist.create () in
-  let sdc = ref 0 and br_opens = ref 0 and br_closes = ref 0 in
-  let hedges = ref 0 and hedge_wins = ref 0 in
-  let counters : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let dev_rows : (int, int ref * int ref) Hashtbl.t = Hashtbl.create 4 in
-  let dev_row d =
-    match Hashtbl.find_opt dev_rows d with
-    | Some r -> r
-    | None ->
-      let r = (ref 0, ref 0) in
-      Hashtbl.replace dev_rows d r;
-      r
-  in
-  let n = ref 0 in
-  List.iter
-    (fun (e : Trace.event) ->
-      incr n;
-      first := min !first e.ts_ps;
-      last := max !last (e.ts_ps + e.dur_ps);
-      match e.kind with
-      | Trace.Shred_run _ ->
-        incr retired;
-        busy := !busy + e.dur_ps;
-        let r, bp = dev_row e.dev in
-        incr r;
-        bp := !bp + e.dur_ps;
-        Hist.record lats (float_of_int e.dur_ps)
-      | Trace.Shred_enqueue _ -> incr enqueued
-      | Trace.Signal_doorbell { lost = l; _ } ->
-        incr doorbells;
-        if l then incr lost
-      | Trace.Doorbell_redeliver _ -> incr redeliveries
-      | Trace.Shred_dispatch _ | Trace.Shred_start _ -> ()
-      | Trace.Watchdog_reap _ -> incr reaps
-      | Trace.Redispatch _ -> incr redispatches
-      | Trace.Quarantine -> incr quarantines
-      | Trace.Ia32_fallback _ -> incr fallbacks
-      | Trace.Atr_tlb_miss _ -> incr tlb_misses
-      | Trace.Atr_gtt_hit _ -> gtt := bump !gtt e.dur_ps
-      | Trace.Atr_proxy _ -> proxy := bump !proxy e.dur_ps
-      | Trace.Atr_transient _ -> incr transients
-      | Trace.Atr_prewalk _ -> ()
-      | Trace.Ceh_proxy _ -> ceh := bump !ceh e.dur_ps
-      | Trace.Ceh_writeback _ -> ()
-      | Trace.Ceh_spurious -> incr spurious
-      | Trace.Fault_injected { cls } ->
-        Hashtbl.replace faults cls
-          (1 + Option.value (Hashtbl.find_opt faults cls) ~default:0)
-      | Trace.Flush { bytes } -> flush := !flush + bytes
-      | Trace.Copy { bytes } -> copy := !copy + bytes
-      | Trace.Job_arrive _ -> incr arrived
-      | Trace.Job_shed _ -> incr shed
-      | Trace.Batch_dispatch _ -> incr batches
-      | Trace.Job_done { latency_ps; _ } ->
-        incr jobs_done;
-        Hist.record job_lats (float_of_int latency_ps)
-      | Trace.Sdc_detected { corruptions; _ } -> sdc := !sdc + corruptions
-      | Trace.Breaker_open _ -> incr br_opens
-      | Trace.Breaker_close _ -> incr br_closes
-      | Trace.Hedge_dispatch _ -> incr hedges
-      | Trace.Hedge_win _ -> incr hedge_wins
-      | Trace.Counter { counter; value } -> Hashtbl.replace counters counter value)
-    events;
-  let span = if !n = 0 then 0 else max 0 (!last - !first) in
-  let pct p = Hist.quantile lats p in
-  let sorted_assoc tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let span = Live.span_ps l in
+  let service count total_ps = { count; total_ps } in
   {
-    events = !n;
+    events = l.events;
     dropped;
     windowed = dropped > 0;
     span_ps = span;
     exo_tracks;
-    shreds_retired = !retired;
-    shreds_enqueued = !enqueued;
-    lat_p50_ps = pct 50.0;
-    lat_p95_ps = pct 95.0;
-    lat_p99_ps = pct 99.0;
-    lat_mean_ps = Hist.mean lats;
-    exo_busy_ps = !busy;
+    shreds_retired = l.shreds_retired;
+    shreds_enqueued = l.shreds_enqueued;
+    lat_p50_ps = Hist.quantile l.shred_lat 50.0;
+    lat_p95_ps = Hist.quantile l.shred_lat 95.0;
+    lat_p99_ps = Hist.quantile l.shred_lat 99.0;
+    lat_mean_ps = Hist.mean l.shred_lat;
+    exo_busy_ps = l.exo_busy_ps;
     occupancy =
       (if span = 0 || exo_tracks = 0 then 0.0
-       else float_of_int !busy /. (float_of_int span *. float_of_int exo_tracks));
-    atr_tlb_misses = !tlb_misses;
-    atr_gtt_hits = !gtt;
-    atr_proxies = !proxy;
-    atr_transients = !transients;
-    ceh_proxies = !ceh;
-    ceh_spurious = !spurious;
-    doorbells = !doorbells;
-    doorbells_lost = !lost;
-    redeliveries = !redeliveries;
-    redispatches = !redispatches;
-    watchdog_reaps = !reaps;
-    quarantines = !quarantines;
-    ia32_fallbacks = !fallbacks;
-    faults = sorted_assoc faults;
-    flush_bytes = !flush;
-    copy_bytes = !copy;
-    jobs_arrived = !arrived;
-    jobs_done = !jobs_done;
-    jobs_shed = !shed;
-    batches = !batches;
-    job_lat_p50_ps = Hist.quantile job_lats 50.0;
-    job_lat_p99_ps = Hist.quantile job_lats 99.0;
-    sdc_detected = !sdc;
-    breaker_opens = !br_opens;
-    breaker_closes = !br_closes;
-    hedges = !hedges;
-    hedge_wins = !hedge_wins;
-    counters = sorted_assoc counters;
-    device_rows =
-      Hashtbl.fold (fun d (r, bp) acc -> (d, !r, !bp) :: acc) dev_rows []
-      |> List.sort compare;
+       else
+         float_of_int l.exo_busy_ps
+         /. (float_of_int span *. float_of_int exo_tracks));
+    atr_tlb_misses = l.atr_tlb_misses;
+    atr_gtt_hits = service l.atr_gtt_hits l.atr_gtt_ps;
+    atr_proxies = service l.atr_proxies l.atr_proxy_ps;
+    atr_transients = l.atr_transients;
+    ceh_proxies = service l.ceh_proxies l.ceh_proxy_ps;
+    ceh_spurious = l.ceh_spurious;
+    doorbells = l.doorbells;
+    doorbells_lost = l.doorbells_lost;
+    redeliveries = l.redeliveries;
+    redispatches = l.redispatches;
+    watchdog_reaps = l.watchdog_reaps;
+    quarantines = l.quarantines;
+    ia32_fallbacks = l.ia32_fallbacks;
+    faults = Live.faults l;
+    flush_bytes = l.flush_bytes;
+    copy_bytes = l.copy_bytes;
+    jobs_arrived = l.jobs_arrived;
+    jobs_done = l.jobs_done;
+    jobs_shed = l.jobs_shed;
+    batches = l.batches;
+    job_lat_p50_ps = Hist.quantile l.job_lat 50.0;
+    job_lat_p99_ps = Hist.quantile l.job_lat 99.0;
+    sdc_detected = l.sdc_detected;
+    breaker_opens = l.breaker_opens;
+    breaker_closes = l.breaker_closes;
+    hedges = l.hedges;
+    hedge_wins = l.hedge_wins;
+    counters = Live.counters l;
+    device_rows = Live.device_rows l;
   }
 
 let of_sink sink =

@@ -1,7 +1,7 @@
 (** Per-kernel metrics derived from a trace: EU occupancy, shred-latency
     percentiles, ATR/CEH proxy-service breakdowns, recovery activity and
-    bytes moved. Purely a fold over {!Trace.events} — computing metrics
-    never perturbs the simulation. *)
+    bytes moved. A snapshot of a {!Live} aggregator folded over the
+    ring's events — computing metrics never perturbs the simulation. *)
 
 (** Count + accumulated service time of one proxy path. *)
 type service = { count : int; total_ps : int }
