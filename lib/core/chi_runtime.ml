@@ -119,7 +119,6 @@ type team = {
 
 let team_completed team = team.completed
 let team_size team = team.size
-let team_devices team = team.devs
 
 let breaker_census t ~dev =
   if dev < 0 || dev >= Exo_platform.devices t.platform then

@@ -143,10 +143,6 @@ val team_completed : team -> int
 
 val team_size : team -> int
 
-(** Devices the team was dispatched on, ascending ([[0]] for a legacy
-    single-device team). *)
-val team_devices : team -> int list
-
 (** {1 Work queuing (producer-consumer), paper §4.3}
 
     [taskq] implements [#pragma intel omp taskq target(...)] with [task]

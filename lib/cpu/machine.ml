@@ -150,7 +150,6 @@ let u32 v = v land 0xFFFF_FFFF
 let get_reg t r = Int32.of_int t.regs.(reg_index r)
 let set_reg t r v = t.regs.(reg_index r) <- Int32.to_int v
 let get_xmm_lane t ~xmm ~lane = Int32.of_int t.xmm.((xmm * 4) + lane)
-let set_xmm_lane t ~xmm ~lane v = t.xmm.((xmm * 4) + lane) <- Int32.to_int v
 
 (* ---- memory data path ---- *)
 
@@ -305,22 +304,6 @@ let store_lanes t ~vaddr ~size ~xmm =
     if direct then write_scalar t ~paddr:(paddr + (i * size)) ~size v
     else aspace_write t ~vaddr:(vaddr + (i * size)) ~size v
   done
-
-let flush_one_cache t cache =
-  let dirty = Cache.flush_all cache in
-  let bytes = List.length dirty * Cache.line_bytes cache in
-  if bytes > 0 then begin
-    (* write-back bursts are issued by the cache controller and stream at
-       the full channel rate, unlike demand misses *)
-    let done_ps = Bus.request t.bus ~now_ps:t.now_ps ~bytes in
-    advance_to_ps t done_ps
-  end;
-  bytes
-
-let flush_caches t =
-  let b1 = flush_one_cache t t.l1 in
-  let b2 = flush_one_cache t t.l2 in
-  b1 + b2
 
 let flush_range t ~vaddr ~len =
   (* flush by physical line; translate page by page *)

@@ -58,13 +58,8 @@ val add_overhead_ps : t -> int -> unit
 val get_reg : t -> Exochi_isa.Via32_ast.reg -> int32
 val set_reg : t -> Exochi_isa.Via32_ast.reg -> int32 -> unit
 val get_xmm_lane : t -> xmm:int -> lane:int -> int32
-val set_xmm_lane : t -> xmm:int -> lane:int -> int32 -> unit
 
 (** {1 Cache maintenance} *)
-
-(** Flush both data caches, paying the write-back cost through the bus;
-    returns the number of dirty bytes written back. *)
-val flush_caches : t -> int
 
 (** Flush a virtual address range (CLFLUSH loop). *)
 val flush_range : t -> vaddr:int -> len:int -> int

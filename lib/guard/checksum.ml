@@ -40,7 +40,6 @@ let add_int64 acc v =
   done;
   !h
 
-let add_int acc v = add_int64 acc (Int64.of_int v)
 let of_string s = add_string offset_basis s
 let of_bytes b = add_bytes offset_basis b
 let to_hex v = Printf.sprintf "%016Lx" v

@@ -18,8 +18,6 @@ val add_bytes : int64 -> Bytes.t -> int64
 (** Mix one 64-bit value, little-endian byte order. *)
 val add_int64 : int64 -> int64 -> int64
 
-val add_int : int64 -> int -> int64
-
 (** [of_string s] = [add_string offset_basis s]. *)
 val of_string : string -> int64
 

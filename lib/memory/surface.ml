@@ -84,12 +84,10 @@ let contains t ~vaddr = vaddr >= t.base && vaddr < t.base + byte_size t
 
 let extent_elements ~width ~height = width * height
 
-let extent_bytes ~width ~height ~bpp = width * height * bpp
 
 let index_in_extent ~width ~height index =
   index >= 0 && index < extent_elements ~width ~height
 
-let element_count t = extent_elements ~width:t.width ~height:t.height
 
 let pp fmt t =
   Format.fprintf fmt "surface#%d %s @%#x %dx%d bpp=%d pitch=%d %s %s" t.id

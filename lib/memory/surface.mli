@@ -68,14 +68,8 @@ val contains : t -> vaddr:int -> bool
 (** Addressable elements of a declared [width x height] extent. *)
 val extent_elements : width:int -> height:int -> int
 
-(** Bytes spanned by the declared elements (excludes pitch padding). *)
-val extent_bytes : width:int -> height:int -> bpp:int -> int
-
 (** Whether a 1-D element index falls inside the declared extent — the
     static counterpart of the {!element_addr} bounds check. *)
 val index_in_extent : width:int -> height:int -> int -> bool
-
-(** [element_count t = extent_elements ~width:t.width ~height:t.height]. *)
-val element_count : t -> int
 
 val pp : Format.formatter -> t -> unit
