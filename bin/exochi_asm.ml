@@ -4,16 +4,10 @@
      exochi_asm x3k  kernel.s -d       assemble and disassemble back
      exochi_asm via32 main.s [-d]      same for the CPU ISA *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let () =
   match Array.to_list Sys.argv with
   | _ :: isa :: path :: rest ->
-    let src = read_file path in
+    let src = Cli.read_file ~tool:"exochi_asm" path in
     let disasm = List.mem "-d" rest in
     let name = Filename.remove_extension (Filename.basename path) in
     (match isa with

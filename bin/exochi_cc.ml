@@ -12,16 +12,10 @@
 
    Compile failures print the offending source line with a caret. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let () =
   match Array.to_list Sys.argv with
   | _ :: path :: rest ->
-    let src = read_file path in
+    let src = Cli.read_file ~tool:"exochi_cc" path in
     let name = Filename.remove_extension (Filename.basename path) in
     let fail e =
       prerr_endline (Exochi_isa.Loc.error_to_string_source ~src e);

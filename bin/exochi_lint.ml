@@ -8,18 +8,13 @@
 
    Text findings carry the offending source line with a caret. Exit
    status is 1 when any error-severity finding (or, with --werror, any
-   warning) is reported, 2 on usage or compile/assembly failure. *)
+   warning) is reported or an input cannot be read, 2 on usage or
+   compile/assembly failure. *)
 
 module Finding = Exochi_analysis.Finding
 module Exo_check = Exochi_analysis.Exo_check
 module Loc = Exochi_isa.Loc
 module Tiny_json = Exochi_obs.Tiny_json
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let usage () =
   prerr_endline
@@ -47,7 +42,7 @@ let annotate_fixed_by_opt findings optimized_findings =
 
 (* Lint one input; returns (findings, source) or a hard failure. *)
 let lint_file path =
-  let src = read_file path in
+  let src = Cli.read_file ~tool:"exochi_lint" path in
   match Filename.extension path with
   | ".chi" -> (
     match Exo_check.check_source ~name:path src with

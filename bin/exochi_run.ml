@@ -18,12 +18,6 @@
 
 open Exochi_core
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* --list-kernels: the registry as a table — abbreviation, full name,
    ISA targets, shred decomposition and surface shapes (Small scale,
    video kernels clipped to a few frames so the listing is instant). *)
@@ -54,7 +48,7 @@ let () =
   match Array.to_list Sys.argv with
   | _ :: "--list-kernels" :: _ -> list_kernels ()
   | _ :: path :: rest ->
-    let src = read_file path in
+    let src = Cli.read_file ~tool:"exochi_run" path in
     let name = Filename.remove_extension (Filename.basename path) in
     let memmodel =
       let rec find = function

@@ -147,16 +147,21 @@ let () =
   let tenants = int_opt "--tenants" 2 in
   if tenants <= 0 then die "--tenants must be positive";
   let jobs = int_opt "--jobs" 200 in
+  if jobs < 0 then die "--jobs must be non-negative";
   let seed = Int64.of_int (int_opt "--seed" 42) in
   let mode =
     match Option.value (opt "--mode") ~default:"closed" with
     | "closed" ->
+      let clients_per_tenant = int_opt "--clients" 4 in
+      if clients_per_tenant <= 0 then die "--clients must be positive";
+      let think_us = int_opt "--think-us" 0 in
+      if think_us < 0 then die "--think-us must be non-negative";
       Serve.Workload.Closed
-        {
-          clients_per_tenant = int_opt "--clients" 4;
-          think_ps = int_opt "--think-us" 0 * 1_000_000;
-        }
-    | "open" -> Serve.Workload.Open { rate_jps = float_opt "--rate" 2000.0 }
+        { clients_per_tenant; think_ps = think_us * 1_000_000 }
+    | "open" ->
+      let rate_jps = float_opt "--rate" 2000.0 in
+      if not (rate_jps > 0.0) then die "--rate must be positive";
+      Serve.Workload.Open { rate_jps }
     | m -> die "--mode must be closed or open (got %s)" m
   in
   let mix =

@@ -10,12 +10,6 @@
    given. CI runs this over the example trace it uploads as an artifact.
    Exit 0 on success. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let () =
   let usage () =
     prerr_endline
@@ -41,12 +35,7 @@ let () =
     in
     parse rest;
     let min_tracks = !min_tracks and allow_dropped = !allow_dropped in
-    let text =
-      try read_file path
-      with Sys_error msg ->
-        prerr_endline ("exochi_trace_lint: " ^ msg);
-        exit 1
-    in
+    let text = Cli.read_file ~tool:"exochi_trace_lint" path in
     (match Exochi_obs.Trace_export.validate_chrome text with
     | Error msg ->
       Printf.eprintf "exochi_trace_lint: %s: INVALID: %s\n" path msg;
