@@ -27,9 +27,6 @@ let create ~devices ~policy =
     homes = Hashtbl.create 8;
   }
 
-let devices t = t.ndev
-let policy t = t.pol
-
 let no_penalty (_ : int) = 0
 
 let least_loaded t penalty =
@@ -72,5 +69,3 @@ let release t ~dev ~shreds =
 let load t ~dev =
   if dev < 0 || dev >= t.ndev then invalid_arg "Placement.load: dev";
   (t.shreds.(dev), t.batches.(dev))
-
-let snapshot t = Array.init t.ndev (fun d -> (d, t.shreds.(d)))
